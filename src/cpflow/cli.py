@@ -104,7 +104,7 @@ def build_parser():
     sp.add_argument("--f", default="0.0*y", help="streamwise force expression in x, y")
     sp.add_argument("--g", default="0.0*y", help="wall-normal force expression in x, y")
     sp.add_argument("--delta", type=float, default=None, help="ball radius (default from measured constants)")
-    sp.add_argument("--symmetry", choices=("X1", "Y2"), default=None)
+    sp.add_argument("--symmetry", choices=("X1", "Y1", "Y2"), default=None)
 
     sp = sub.add_parser("spectrum", help="resolution-filtered stability spectrum at (A, T)")
     _add_common(sp, n_default=120)
@@ -186,6 +186,8 @@ def _check_numerics(args):
         v = getattr(args, name, None)
         if v is not None and v <= 0:
             raise ConfigError(f"numerics value {name} must be positive, got {v}")
+    if args.N < 8:
+        raise ConfigError(f"collocation degree N must be at least 8, got {args.N}")
 
 
 def output_path(args, suffix=".json"):

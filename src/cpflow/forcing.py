@@ -78,7 +78,10 @@ def compile_expression(text):
     def fn(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        out = _evaluate(tree, {"x": x, "y": y})
+        with np.errstate(all="ignore"):
+            out = _evaluate(tree, {"x": x, "y": y})
+        if not np.all(np.isfinite(out)):
+            raise ConfigError(f"forcing expression {text!r} is not finite at every sample")
         return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast_shapes(x.shape, y.shape)).copy()
 
     fn.source = text

@@ -55,8 +55,8 @@ class PicardConfig:
     def __post_init__(self):
         if not (0.0 < self.tol < self.delta):
             raise DomainError("need 0 < tol < delta")
-        if self.symmetry_class not in (None, "X1", "Y2"):
-            raise DomainError("symmetry_class must be one of None, 'X1', 'Y2'")
+        if self.symmetry_class not in (None, "X1", "Y1", "Y2"):
+            raise DomainError("symmetry_class must be one of None, 'X1', 'Y1', 'Y2'")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,12 @@ with p vanishing at the walls, which imposes both boundary conditions
 exactly and avoids spurious boundary modes; the pencil is reduced to a
 standard eigenproblem by applying the Dirichlet inverse of (D^2 - T^2).
 Eigenvalues are accepted only when two resolutions agree.
+
+The neutral point is the root of G(a, T) = (Re lambda, Re dlambda/dT)
+with a = -3A, found by Newton; each evaluation is one dense spectrum, and
+the derivatives of its leading eigenvalue come from the left and right
+eigenvectors (Schmid & Henningson 2001, Stability and Transition in
+Shear Flows).
 """
 
 import math
@@ -42,12 +48,12 @@ __all__ = [
     "small_at_certificate",
     "neutral_search",
     "kernel_witness",
-    "golden_section_max",
     "poiseuille_phase_speeds",
 ]
 
 RESOLVE_RTOL = 1e-6
 MIN_RESOLVED = 10
+MAX_NEWTON = 12
 
 
 @lru_cache(maxsize=16)
@@ -99,14 +105,30 @@ def _eig(A, T, N, with_vectors=False):
     return sla.eigvals(M, check_finite=False)
 
 
-def leading_eigenvalue(A, T, N, with_vector=False):
-    """Eigenvalue of maximal real part at one resolution."""
-    if with_vector:
-        vals, vecs = _eig(A, T, N, with_vectors=True)
-        i = int(np.argmax(vals.real))
-        return vals[i], vecs[:, i]
-    vals = _eig(A, T, N)
-    return vals[int(np.argmax(vals.real))]
+def leading_eigenvalue(A, T, N, sensitivity=False):
+    """Eigenvalue of maximal real part at one resolution.
+
+    With ``sensitivity`` returns ``(lambda, dlambda/da, dlambda/dT)``, a = -3A,
+    each at the other parameter fixed, from the left and right eigenvectors
+    u, x of M = B^-1 L: dlambda = u^H B^-1 (dL - lambda dB) x / (u^H x).
+    """
+    if not sensitivity:
+        vals = _eig(A, T, N)
+        return vals[int(np.argmax(vals.real))]
+    y_int, D2i, *_ = _clamped_blocks(N)
+    L, B = _pencil(A, T, N)
+    lu = sla.lu_factor(B, check_finite=False)
+    vals, left, right = sla.eig(sla.lu_solve(lu, L, check_finite=False), left=True,
+                                right=True, check_finite=False)
+    i = int(np.argmax(vals.real))
+    lam, u, x = vals[i], left[:, i], right[:, i]
+    w = sla.lu_solve(lu, u, trans=1, check_finite=False)  # w^H = u^H B^-1
+    y2 = 1.0 - y_int**2
+    shear_x = y2 * (B @ x) + 2.0 * x  # ((1 - y^2) B + 2) x
+    dT_x = (-4.0 * T * (D2i @ x) + 4.0 * T**3 * x + 3j * A * shear_x
+            - 6j * A * T**2 * y2 * x + 2.0 * T * lam * x)  # (dL/dT - lambda dB/dT) x
+    den = np.vdot(u, x)
+    return lam, np.vdot(w, -1j * T * shear_x) / den, np.vdot(w, dT_x) / den
 
 
 def lift_eigenfunction(vec, N):
@@ -235,27 +257,6 @@ def small_at_certificate(AT_bound, samples, grid):
     return True
 
 
-def golden_section_max(f, a, b, tol, warm=None):
-    """Maximize a unimodal scalar function on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    h = b - a
-    c, d = a + invphi2 * h, a + invphi * h
-    yc, yd = f(c), f(d)
-    while h > tol:
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = a + invphi2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + invphi * h
-            yd = f(d)
-    return (c, yc) if yc > yd else (d, yd)
-
-
 @dataclass(frozen=True)
 class NeutralPoint:
     """Parameters of the located neutral crossing Re lambda = 0."""
@@ -272,25 +273,6 @@ class NeutralPoint:
         return Profile(A=self.A1, B=0.0, C=self.C_counter)
 
 
-def _max_growth(A, T_lo, T_hi, N, T_tol, trace, coarse=9):
-    """Maximize the leading growth rate over T; guards unimodality."""
-
-    def g(T):
-        lam = leading_eigenvalue(A, T, N)
-        trace.append({"A": A, "T": T, "re": lam.real, "im": lam.imag, "N": N})
-        return lam.real
-
-    Ts = np.linspace(T_lo, T_hi, coarse)
-    vals = [g(T) for T in Ts]
-    i = int(np.argmax(vals))
-    if i in (0, coarse - 1):
-        raise BracketError(
-            f"growth rate not interior-maximized on T in [{T_lo}, {T_hi}] at A={A}"
-        )
-    T_star, re_star = golden_section_max(g, Ts[i - 1], Ts[i + 1], T_tol)
-    return T_star, re_star
-
-
 def neutral_search(
     T_range,
     minus3A_range,
@@ -300,68 +282,76 @@ def neutral_search(
     T_tol=2e-5,
     agreement_rtol=1e-3,
 ):
-    """Locate the neutral crossing by bisection in |A| over max-T growth.
+    """Locate the neutral crossing by Newton on G(a, T) = (Re lambda, Re dlambda/dT).
 
-    Outer bisection runs on a = -3A (the profile amplitude); the inner
-    maximization over T uses golden-section inside a coarse-scan bracket.
-    The search is carried out independently at two resolutions N and N_check;
-    their (A1, T0) must agree to ``agreement_rtol`` or the search fails
+    Here a = -3A (the profile amplitude) and lambda is the leading
+    eigenvalue; the root of G is the point where the growth rate maximized
+    over T crosses zero.  Every evaluation is one dense spectrum returning
+    lambda with its analytic derivatives (:func:`leading_eigenvalue`).  At
+    each end of the -3A bracket a 9-point T scan must find an interior
+    maximum, which a 1-D Newton refines; the two maxima must change sign.
+    The 2-D Newton starts at their linear interpolation: the Jacobian's
+    first row is analytic, its second a forward difference of the analytic
+    dlambda/dT, and steps are clamped to the brackets.  It converges at an
+    iterate with |Re lambda| <= tol reached by a step |dT| <= T_tol.  The
+    N_check solve is the same Newton warm-started from the N solution;
+    the two (A1, T0) must agree to ``agreement_rtol`` or the search fails
     with the best iterates attached.  The returned point carries the
-    finer-resolution values.
+    finer-resolution values; ``trace`` holds one entry per evaluation.
     """
-
-    def search_at(Nres, a_lo, a_hi, t_lo, t_hi, trace):
-        g_lo, _t = _probe(Nres, a_lo, t_lo, t_hi, trace)
-        g_hi, _t2 = _probe(Nres, a_hi, t_lo, t_hi, trace)
-        if not (g_lo[1] < 0.0 < g_hi[1]):
-            raise BracketError(
-                f"no neutral crossing bracketed on -3A in [{a_lo}, {a_hi}] "
-                f"(growth {g_lo[1]:.3e} .. {g_hi[1]:.3e})"
-            )
-        t_last = g_lo[0]
-        best = None
-        while True:
-            a_mid = 0.5 * (a_lo + a_hi)
-            span = 0.25 * (t_hi - t_lo)
-            lo = max(t_lo, t_last - span)
-            hi = min(t_hi, t_last + span)
-            try:
-                T_star, re_star = _max_growth(-a_mid / 3.0, lo, hi, Nres, T_tol, trace)
-            except BracketError:
-                T_star, re_star = _max_growth(-a_mid / 3.0, t_lo, t_hi, Nres, T_tol, trace)
-            t_last = T_star
-            best = (a_mid, T_star, re_star)
-            if abs(re_star) <= tol:
-                return best
-            if re_star > 0.0:
-                a_hi = a_mid
-            else:
-                a_lo = a_mid
-            if (a_hi - a_lo) <= 1e-12 * a_hi:
-                raise NeutralToleranceError(
-                    f"bisection exhausted at -3A={a_mid} with growth {re_star:.3e}",
-                    best=best,
-                )
-
-    def _probe(Nres, a, t_lo, t_hi, trace):
-        res = _max_growth(-a / 3.0, t_lo, t_hi, Nres, T_tol, trace)
-        return res, None
-
     t_lo, t_hi = map(float, T_range)
     a_lo, a_hi = map(float, minus3A_range)
+    h = 1e-3 * (t_hi - t_lo)  # forward-difference step for the T-derivative row
     trace = []
-    a1_c, T0_c, _ = search_at(N, a_lo, a_hi, t_lo, t_hi, trace)
-    # independent fine-resolution search on a warm bracket
-    pad_a = max(20.0 * tol / 9.4e-5, 5e-3 * a1_c)
-    pad_t = max(0.05 * (t_hi - t_lo), 50 * T_tol)
-    a1_f, T0_f, _re = search_at(
-        N_check,
-        max(a_lo, a1_c - pad_a),
-        min(a_hi, a1_c + pad_a),
-        max(t_lo, T0_c - pad_t),
-        min(t_hi, T0_c + pad_t),
-        trace,
-    )
+
+    def at(Nres):
+        def ev(a, T):
+            lam, d_a, d_T = leading_eigenvalue(-a / 3.0, T, Nres, sensitivity=True)
+            trace.append({"A": -a / 3.0, "T": T, "re": lam.real, "im": lam.imag, "N": Nres})
+            return lam.real, d_a.real, d_T.real
+
+        return ev
+
+    def newton(ev, a, T, g, box, move_a=True):
+        """Newton from (a, T), where G is g (None: evaluate); move_a=False holds a fixed."""
+        g = ev(a, T) if g is None else g
+        best, dT = (a, T, g[0]), math.inf
+        for _ in range(MAX_NEWTON):
+            gh = ev(a, T + h)
+            J = np.array([[g[1], g[2]], [(gh[1] - g[1]) / h, (gh[2] - g[2]) / h]])
+            da, dT = np.linalg.solve(J, [-g[0], -g[2]]) if move_a else (0.0, -g[2] / J[1, 1])
+            a = min(max(a + da, box[0]), box[1])
+            T = min(max(T + dT, box[2]), box[3])
+            g = ev(a, T)
+            best = min(best, (a, T, g[0]), key=lambda b: abs(b[2]))
+            if abs(dT) <= T_tol and (abs(g[0]) <= tol or not move_a):
+                return a, T, g[0]
+        raise NeutralToleranceError(
+            f"Newton did not converge from -3A={a:.6f}, T={T:.6f} (growth {g[0]:.3e})",
+            best=best,
+        )
+
+    ev = at(N)
+    ends = []
+    for a in (a_lo, a_hi):
+        Ts = np.linspace(t_lo, t_hi, 9)
+        vals = [ev(a, float(T)) for T in Ts]
+        i = int(np.argmax([v[0] for v in vals]))
+        if i in (0, len(Ts) - 1):
+            raise BracketError(
+                f"growth rate not interior-maximized on T in [{t_lo}, {t_hi}] at -3A={a}"
+            )
+        ends.append(newton(ev, a, float(Ts[i]), vals[i], (a, a, Ts[i - 1], Ts[i + 1]), False))
+    (_, T_l, g_l), (_, T_h, g_h) = ends
+    if not (g_l < 0.0 < g_h):
+        raise BracketError(
+            f"no neutral crossing bracketed on -3A in [{a_lo}, {a_hi}] "
+            f"(growth {g_l:.3e} .. {g_h:.3e})"
+        )
+    s = g_l / (g_l - g_h)
+    box = (a_lo, a_hi, t_lo, t_hi)
+    a1_c, T0_c, _ = newton(ev, a_lo + s * (a_hi - a_lo), T_l + s * (T_h - T_l), None, box)
+    a1_f, T0_f, _ = newton(at(N_check), a1_c, T0_c, None, box)
     best = {"coarse": (a1_c, T0_c), "fine": (a1_f, T0_f)}
     if abs(a1_f - a1_c) > agreement_rtol * a1_f or abs(T0_f - T0_c) > agreement_rtol * T0_f:
         raise NeutralToleranceError(

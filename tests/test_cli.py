@@ -193,6 +193,17 @@ class TestSolveNonlinear:
         trace = (tmp_path / "nl_trace.csv").read_text().splitlines()
         assert trace[0] == "iteration,increment,norm"
 
+    def test_y1_symmetry_class(self, tmp_path):
+        out = tmp_path / "nl.json"
+        code = run_cli(
+            ["solve-nonlinear", "--A", "-1", "--B", "0", "--C", "3.5", "--N", "32", "--K", "4",
+             "--f", "0.01*cos(x)*(1-y**2)", "--g", "0.01*sin(x)*y", "--symmetry", "Y1",
+             "--tol", "1e-8", "--output", str(out)]
+        )
+        assert code == 0
+        data, _ = load_payload(out)
+        assert data["results"]["converged"]
+
 
 class TestRegression:
     def test_record_compare_tamper_cycle(self, tmp_path):
@@ -208,4 +219,38 @@ class TestRegression:
 
     def test_missing_baseline_is_config_error(self, tmp_path):
         code = run_cli(["regression", "--baseline", str(tmp_path / "none.json")])
+        assert code == 2
+
+
+class TestNeutralSearchCommand:
+    def test_quick_search(self, tmp_path):
+        out = tmp_path / "neutral.json"
+        code = run_cli(["neutral-search", "--N", "96", "--N-check", "144", "--tol", "1e-3",
+                        "--output", str(out)])
+        assert code == 0
+        with open(out) as fh:
+            raw = json.load(fh, parse_constant=lambda c: pytest.fail(f"non-finite {c}"))
+        res = raw["results"]
+        assert res["reversal_confirmed"]
+        assert res["minus3A1"] == pytest.approx(5772.22, abs=2e-3)
+        for i, entry in enumerate(res["trace"]):
+            assert set(entry) == {"iterate", "A", "T", "re", "im", "N"} and entry["iterate"] == i
+        assert abs(res["trace"][-1]["re"]) <= 1e-3
+
+
+class TestInputGuards:
+    def test_overflowing_force_is_config_error(self, tmp_path):
+        code = run_cli(["solve-linear", "--profile", "poiseuille", "--f", "exp(1000*y)",
+                        "--output", str(tmp_path / "x.json")])
+        assert code == 2
+        assert not (tmp_path / "x.json").exists()
+
+    def test_singular_source_is_config_error(self, tmp_path):
+        code = run_cli(["solve-mode", "--profile", "poiseuille", "--xi", "1",
+                        "--h", "1/(y-y)", "--output", str(tmp_path / "x.json")])
+        assert code == 2
+
+    def test_too_few_collocation_points_is_config_error(self, tmp_path):
+        code = run_cli(["solve-mode", "--profile", "poiseuille", "--xi", "1", "--N", "4",
+                        "--output", str(tmp_path / "x.json")])
         assert code == 2

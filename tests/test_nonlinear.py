@@ -181,6 +181,27 @@ class TestSymmetryTransport:
         leak = field_h_norm(symmetry_project(out, "X2"), 2)
         assert leak > 1e-4 * field_h_norm(out, 2)
 
+    def test_y1_projected_solve_from_y1_data(self, grid48):
+        # Y1 (psi y-odd: streamwise force y-even, wall-normal force y-odd) is
+        # the class the map keeps for an even profile, so the Y1-projected
+        # solve converges to the unprojected fixed point
+        p = Profile(-1.0, 0.0, 3.5)
+        force = ForceField.from_callables(
+            1.0, 6, grid48, lambda x, y: 0.05 * np.cos(x) * (1.0 - y**2),
+            lambda x, y: 0.05 * np.sin(x) * y,
+        )
+        w0 = symmetry_project(random_field(np.random.default_rng(607), grid48, 6, 1.0, 1.0), "Y1")
+        cfg = PicardConfig(delta=50.0, tol=1e-9, max_iter=100, symmetry_class="Y1")
+        v, trace = picard_solve(p, force, cfg, grid48, 6, 1.0, w0=w0)
+        assert trace.converged
+        norm = field_h_norm(v, 2)
+        assert norm > 1e-3
+        assert field_h_norm(symmetry_project(v, "Y2"), 2) <= 1e-9 * norm
+        free, free_trace = picard_solve(p, force, PicardConfig(delta=50.0, tol=1e-9, max_iter=100),
+                                        grid48, 6, 1.0, w0=w0)
+        assert free_trace.converged
+        assert field_h_norm(free.minus(v), 2) <= 1e-9 * norm
+
     def test_projected_iteration_stays_in_class(self, grid32, rng):
         p = Profile(-1.0, 0.0, 3.5)
         force = ForceField.zero(1.0, 4, grid32)

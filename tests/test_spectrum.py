@@ -4,8 +4,8 @@ import pytest
 from cpflow.errors import BracketError, DomainError, ResolutionError
 from cpflow.profiles import Profile, check_admissibility, poiseuille_for_flux
 from cpflow.spectral import build_grid
+from cpflow import spectrum
 from cpflow.spectrum import (
-    golden_section_max,
     kernel_witness,
     leading_eigenvalue,
     neutral_search,
@@ -124,11 +124,21 @@ class TestCertificate:
             small_at_certificate(-1.0, [], grid120)
 
 
-class TestGoldenSection:
-    def test_quadratic_maximum(self):
-        x, v = golden_section_max(lambda t: -(t - 0.3) ** 2, -1.0, 1.0, 1e-10)
-        assert x == pytest.approx(0.3, abs=1e-8)
-        assert v == pytest.approx(0.0, abs=1e-15)
+class TestSensitivity:
+    @pytest.mark.parametrize("N", [96, 200, 300])
+    def test_derivatives_match_central_differences(self, N):
+        # d lambda / da (a = -3A, T fixed) and d lambda / dT (A fixed) from
+        # the left/right eigenvectors, near the neutral point where the
+        # search uses them
+        a, T, ha, hT = 5772.22, 1.0205, 1e-2, 1e-5
+        lam, d_a, d_T = leading_eigenvalue(-a / 3.0, T, N, sensitivity=True)
+        assert abs(lam - leading_eigenvalue(-a / 3.0, T, N)) <= 1e-10 * abs(lam)
+        fd_a = (leading_eigenvalue(-(a + ha) / 3.0, T, N)
+                - leading_eigenvalue(-(a - ha) / 3.0, T, N)) / (2.0 * ha)
+        fd_T = (leading_eigenvalue(-a / 3.0, T + hT, N)
+                - leading_eigenvalue(-a / 3.0, T - hT, N)) / (2.0 * hT)
+        assert abs(d_a - fd_a) <= 1e-5 * abs(fd_a)
+        assert abs(d_T - fd_T) <= 1e-5 * abs(fd_T)
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +169,34 @@ class TestNeutralSearch:
         assert c == pytest.approx(CRIT_C, rel=1e-3)
 
     def test_trace_records_iterates(self, quick_point):
-        assert len(quick_point.trace) > 50
-        assert {"A", "T", "re", "im", "N"} <= set(quick_point.trace[0])
+        # one entry per evaluation; the last is the converged N_check iterate
+        for entry in quick_point.trace:
+            assert set(entry) == {"A", "T", "re", "im", "N"}
+        assert {e["N"] for e in quick_point.trace} == {96, 144}
+        last = quick_point.trace[-1]
+        assert last["N"] == 144 and abs(last["re"]) <= 1e-4
+        assert (last["A"], last["T"]) == (quick_point.A1, quick_point.T0)
+
+    def test_every_evaluation_is_one_traced_call(self, monkeypatch):
+        # each evaluation goes through the module-global leading_eigenvalue
+        # and appends one trace entry; the final lambda1 solve is the +1
+        calls = []
+        inner = spectrum.leading_eigenvalue
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "leading_eigenvalue", counting)
+        npt = spectrum.neutral_search((0.9, 1.15), (5600.0, 6000.0), tol=1e-3, N=96,
+                                      N_check=144, T_tol=1e-4, agreement_rtol=5e-3)
+        assert len(calls) == len(npt.trace) + 1
+
+    def test_acceptance_settings_evaluation_count(self):
+        npt = neutral_search((0.8, 1.3), (5000.0, 6500.0), tol=1e-6, N=200, N_check=300)
+        assert len(npt.trace) <= 60
+        assert abs(npt.trace[-1]["re"]) <= 1e-6
+        assert -3.0 * npt.A1 == pytest.approx(CRIT_RE, rel=1e-3)
 
     def test_no_bracket_raises(self):
         with pytest.raises(BracketError):
