@@ -15,13 +15,12 @@ assumed.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DomainError, InadmissibleProfileError, ResolutionError
-from .os_solver import OSModeOperator, os_rhs_from_force, sigma_values, solve_os_zero_mode
+from .os_solver import OSModeOperator, sigma_values, solve_os_zero_mode
 from .profiles import check_admissibility
 from .spectral import GridFunction
 
@@ -61,11 +60,15 @@ def x_grid(xi0, K):
 
 
 def synthesize(modes, xi0, K):
-    """Real tensor-grid values from Fourier coefficients (k = -K..K)."""
-    x = x_grid(xi0, K)
-    ks = np.arange(-K, K + 1)
-    phase = np.exp(1j * xi0 * np.outer(x, ks))
-    return (phase @ modes).real
+    """Real part of sum_k modes[k] exp(i k xi0 x), k = -K..K, on ``x_grid``.
+
+    There the phases are exp(2 pi i k j / Mx) whatever xi0: an inverse FFT.
+    """
+    Mx = n_x_points(K)
+    padded = np.zeros((Mx,) + modes.shape[1:], dtype=complex)
+    padded[: K + 1] = modes[K:]
+    padded[Mx - K :] = modes[:K]
+    return np.fft.ifft(padded, axis=0, norm="forward").real
 
 
 def analyze(values, K):
@@ -81,11 +84,7 @@ def analyze(values, K):
     total = float(energy.sum())
     kept = float(energy[: K + 1].sum() + energy[Mx - K :].sum()) if K > 0 else float(energy[0])
     tail = 0.0 if total == 0.0 else max(0.0, (total - kept) / total)
-    modes = np.empty((2 * K + 1, values.shape[1]), dtype=complex)
-    modes[K] = coeffs[0]
-    for k in range(1, K + 1):
-        modes[K + k] = coeffs[k]
-        modes[K - k] = coeffs[Mx - k]
+    modes = np.concatenate([coeffs[Mx - K :], coeffs[: K + 1]])
     return modes, tail
 
 
@@ -242,13 +241,14 @@ def field_h_norm(fld, m):
 
 
 class LinearizedChannelSolver:
-    """Factorized mode operators for repeated solves at one profile.
+    """Stacked mode inverses for repeated solves at one profile.
 
-    Mode solves at distinct k are independent; ``threads`` > 1 runs them
-    on a thread pool (LAPACK releases the GIL).
+    Modes k = 1..K are factorized once, each behind its rcond gate, and
+    solved by one batched product; k = 0 is solved per call.  Residuals
+    come from the operator's parts, not from the inverses.
     """
 
-    def __init__(self, p, grid, K, xi0, threads=1):
+    def __init__(self, p, grid, K, xi0):
         rep = check_admissibility(p)
         if not rep.satisfies_abc:
             raise InadmissibleProfileError(
@@ -260,54 +260,38 @@ class LinearizedChannelSolver:
         self.grid = grid
         self.K = K
         self.xi0 = float(xi0)
-        self.threads = max(1, int(threads))
-        self._ops = {}
-
-        def build(k):
-            return OSModeOperator(p, k * self.xi0, grid)
-
-        if self.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as ex:
-                ops = list(ex.map(build, range(1, K + 1)))
-        else:
-            ops = [build(k) for k in range(1, K + 1)]
-        for k, op in zip(range(1, K + 1), ops):
-            self._ops[k] = op
+        self._xi = self.xi0 * np.arange(1, K + 1)
+        self._inv = np.empty((K, grid.N + 1, grid.N + 1), dtype=complex)
+        self._rcond = []
+        for j, xi in enumerate(self._xi):
+            op = OSModeOperator(p, xi, grid)
+            self._inv[j] = op.inverse()
+            self._rcond.append(float(op.rcond))
 
     def solve_modes(self, f_modes, g_modes):
         """Solve from per-mode force coefficients (layout k = -K..K)."""
-        K, grid = self.K, self.grid
-        psi = np.zeros((2 * K + 1, grid.N + 1), dtype=complex)
-        residuals = np.zeros(K + 1)
-        rhs_norms = np.zeros(K + 1)
-
-        def solve_one(k):
-            if k == 0:
-                f0 = 0.5 * (f_modes[K] + np.conj(f_modes[K]))
-                rhs = GridFunction(grid, -(grid.D1 @ f0))
-                sol = solve_os_zero_mode(rhs, grid)
-            else:
-                rhs = os_rhs_from_force(f_modes[K + k], g_modes[K + k], k * self.xi0, grid)
-                sol = self._ops[k].solve(rhs)
-            return k, sol, grid.l2_norm(rhs.values)
-
-        if self.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as ex:
-                results = list(ex.map(solve_one, range(K + 1)))
-        else:
-            results = [solve_one(k) for k in range(K + 1)]
-        for k, sol, rn in results:
-            vals = sol.phi.values
-            if k == 0:
-                vals = 0.5 * (vals + np.conj(vals))
-            psi[K + k] = vals
-            psi[K - k] = np.conj(vals)
-            residuals[k] = sol.residual_norm
-            rhs_norms[k] = rn
-        res_sq = residuals[0] ** 2 + 2.0 * np.sum(residuals[1:] ** 2)
-        rhs_sq = rhs_norms[0] ** 2 + 2.0 * np.sum(rhs_norms[1:] ** 2)
-        rel = math.sqrt(res_sq / rhs_sq) if rhs_sq > 0.0 else 0.0
-        info = {"residual_rel": rel, "mode_residuals": residuals.tolist()}
+        K, grid, N = self.K, self.grid, self.grid.N
+        h0 = -(grid.D1 @ f_modes[K].real)
+        sol0 = solve_os_zero_mode(GridFunction(grid, h0), grid)
+        xi = self._xi[:, None]
+        h = 1j * xi * g_modes[K + 1 :] - f_modes[K + 1 :] @ grid.D1.T
+        b = h.copy()
+        b[:, [0, 1, N - 1, N]] = 0.0  # boundary rows of the bordered system
+        phi = np.matmul(self._inv, b[..., None])[..., 0]
+        # interior rows of L phi - h, L as in ``os_operator_matrix``
+        d2 = phi @ grid.D2.T
+        res = (phi @ grid.D4.T - 2.0 * xi**2 * d2 + xi**4 * phi - h
+               - 1j * xi * (self.p.F(grid.nodes) * (d2 - xi**2 * phi) - 6.0 * self.p.A * phi))
+        w = grid.quad_weights
+        res_sq = np.abs(res[:, 2 : N - 1]) ** 2 @ w[2 : N - 1]
+        total_res = sol0.residual_norm**2 + 2.0 * res_sq.sum()
+        total_rhs = grid.l2_norm(h0) ** 2 + 2.0 * (np.abs(h) ** 2 @ w).sum()
+        psi = np.concatenate([np.conj(phi[::-1]), sol0.phi.values.real[None], phi])
+        info = {
+            "residual_rel": math.sqrt(total_res / total_rhs) if total_rhs > 0.0 else 0.0,
+            "mode_residuals": [sol0.residual_norm] + np.sqrt(res_sq).tolist(),
+            "mode_rcond": [sol0.rcond] + self._rcond,
+        }
         return ChannelField(self.xi0, K, grid, psi, solve_info=info)
 
     def solve(self, force):
@@ -315,10 +299,10 @@ class LinearizedChannelSolver:
         return self.solve_modes(f_modes, g_modes)
 
 
-def solve_linearized(p, force, grid, K, xi0=None, threads=1):
+def solve_linearized(p, force, grid, K, xi0=None):
     """Solve the linearized perturbation problem driven by ``force``."""
     xi0 = force.xi0 if xi0 is None else xi0
-    solver = LinearizedChannelSolver(p, grid, K, xi0, threads=threads)
+    solver = LinearizedChannelSolver(p, grid, K, xi0)
     return solver.solve(force)
 
 

@@ -76,7 +76,6 @@ def _add_common(sp, n_default=64):
     sp.add_argument("--tol", type=float, default=1e-8, help="iteration/search tolerance")
     sp.add_argument("--max-iter", type=int, default=100, help="fixed-point iteration cap")
     sp.add_argument("--seed", type=int, default=0, help="seed for randomized measurements")
-    sp.add_argument("--threads", type=int, default=1, help="cap on worker threads")
     sp.add_argument("--output", default=None, help="output path (default: <command>.json)")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -182,7 +181,7 @@ def resolve_profile(args):
 
 
 def _check_numerics(args):
-    for name in ("N", "K", "xi0", "tol", "max_iter", "threads"):
+    for name in ("N", "K", "xi0", "tol", "max_iter"):
         v = getattr(args, name, None)
         if v is not None and v <= 0:
             raise ConfigError(f"numerics value {name} must be positive, got {v}")
@@ -277,7 +276,7 @@ def cmd_solve_linear(args):
     p = resolve_profile(args)
     grid = build_grid(args.N)
     force = _force_from_args(args, grid)
-    solver = LinearizedChannelSolver(p, grid, args.K, args.xi0, threads=args.threads)
+    solver = LinearizedChannelSolver(p, grid, args.K, args.xi0)
     fld = solver.solve(force)
     grad = recover_pressure_gradient(p, fld, force)
     header = field_header(fld, p)
@@ -297,13 +296,13 @@ def cmd_solve_nonlinear(args):
     grid = build_grid(args.N)
     force = _force_from_args(args, grid)
     if args.delta is None:
-        k0 = measure_kappa0(p, grid, args.K, args.xi0, n_samples=8, seed=args.seed, threads=args.threads)
+        k0 = measure_kappa0(p, grid, args.K, args.xi0, n_samples=8, seed=args.seed)
         c1 = measure_c1(grid, args.K, args.xi0, n_pairs=8, seed=args.seed + 1)
         delta = contraction_ball_radius(k0, c1)
     else:
         delta = args.delta
     cfg = PicardConfig(delta=delta, tol=args.tol, max_iter=args.max_iter, symmetry_class=args.symmetry)
-    fld, trace = picard_solve(p, force, cfg, grid, args.K, args.xi0, threads=args.threads)
+    fld, trace = picard_solve(p, force, cfg, grid, args.K, args.xi0)
     grad = recover_pressure_gradient(p, fld, force, nonlinear_modes=None)
     base = output_path(args)
     stem = os.path.splitext(base)[0]
@@ -486,11 +485,11 @@ BASELINE_TOLERANCES = {
 def measure_baseline(args, p):
     """Measured constants at reduced, deterministic numerics."""
     grid = build_grid(args.N)
-    k0 = measure_kappa0(p, grid, args.K, args.xi0, n_samples=8, seed=args.seed, threads=args.threads)
+    k0 = measure_kappa0(p, grid, args.K, args.xi0, n_samples=8, seed=args.seed)
     c1 = measure_c1(grid, args.K, args.xi0, n_pairs=8, seed=args.seed + 1)
     delta = contraction_ball_radius(k0, c1)
     ratio = measure_contraction(p, None, delta, grid, args.K, args.xi0,
-                                n_pairs=8, seed=args.seed + 2, threads=args.threads)
+                                n_pairs=8, seed=args.seed + 2)
     checks = _estimate_battery(p, args)
     npt = neutral_search((0.9, 1.15), (5600.0, 6000.0), tol=1e-3, N=96, N_check=144,
                          T_tol=1e-4, agreement_rtol=5e-3)
@@ -507,6 +506,8 @@ def measure_baseline(args, p):
 
 def cmd_regression(args):
     p = resolve_profile(args) if (args.profile or args.A is not None) else poiseuille_for_flux(4.0)
+    if not args.record and not os.path.exists(args.baseline):
+        raise ConfigError(f"baseline file not found: {args.baseline} (use --record)")
     measured = measure_baseline(args, p)
     if args.record:
         with open(args.baseline, "w") as fh:
@@ -516,8 +517,6 @@ def cmd_regression(args):
             fh.write("\n")
         print(f"regression: baseline recorded -> {args.baseline}")
         return args.baseline
-    if not os.path.exists(args.baseline):
-        raise ConfigError(f"baseline file not found: {args.baseline} (use --record)")
     with open(args.baseline) as fh:
         base = json.load(fh)
     failures = []

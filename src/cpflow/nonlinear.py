@@ -136,9 +136,9 @@ def nonlinear_residual(p, fld, force):
 class NonlinearChannelSolver:
     """Shares one factorized linear solver across all Picard machinery."""
 
-    def __init__(self, p, grid, K, xi0, threads=1):
+    def __init__(self, p, grid, K, xi0):
         self.p = p
-        self.linear = LinearizedChannelSolver(p, grid, K, xi0, threads=threads)
+        self.linear = LinearizedChannelSolver(p, grid, K, xi0)
         self.grid = grid
         self.K = K
         self.xi0 = float(xi0)
@@ -156,8 +156,10 @@ class NonlinearChannelSolver:
 
         Convergence demands both an H^2 increment below ``cfg.tol`` and an
         independently evaluated nonlinear residual below ``10 * cfg.tol``
-        (guards against stagnation posing as convergence).  Leaving the
-        ball raises :class:`BallEscapeError`; three consecutive
+        (guards against stagnation posing as convergence).  A second failed
+        check in a row that halved neither the residual nor the iterate
+        norm marks a residual floor and stops the loop unconverged.  Leaving
+        the ball raises :class:`BallEscapeError`; three consecutive
         non-contracting increments raise :class:`NonContractionError`.
         """
         force_modes = force.modes()
@@ -170,6 +172,7 @@ class NonlinearChannelSolver:
         w = project(self.picard_map(force_modes, None)) if w0 is None else project(w0)
         iterates = []
         prev_inc = None
+        failed = None  # (residual, norm) of a failed check at the previous step
         bad_streak = 0
         factor = 0.0
         converged = False
@@ -201,6 +204,10 @@ class NonlinearChannelSolver:
                 if final_residual < 10.0 * cfg.tol:
                     converged = True
                     break
+                # an iterate collapsing onto zero keeps a relative residual near 1
+                if failed and final_residual > 0.5 * failed[0] and nv > 0.5 * failed[1]:
+                    break
+            failed = (final_residual, nv) if inc < cfg.tol else None
             prev_inc = inc
         if not converged and math.isinf(final_residual):
             final_residual = nonlinear_residual(self.p, w, force)
@@ -214,13 +221,13 @@ class NonlinearChannelSolver:
         return w, trace
 
 
-def picard_solve(p, force, cfg, grid, K, xi0=None, w0=None, threads=1):
+def picard_solve(p, force, cfg, grid, K, xi0=None, w0=None):
     """Solve the nonlinear problem by contraction iteration."""
     xi0 = force.xi0 if xi0 is None else xi0
-    return NonlinearChannelSolver(p, grid, K, xi0, threads=threads).solve(force, cfg, w0=w0)
+    return NonlinearChannelSolver(p, grid, K, xi0).solve(force, cfg, w0=w0)
 
 
-def measure_contraction(p, force, delta, grid, K, xi0, n_pairs=20, seed=0, threads=1):
+def measure_contraction(p, force, delta, grid, K, xi0, n_pairs=20, seed=0):
     """Empirical Lipschitz ratio of the map over random pairs in the ball.
 
     The difference of two map values cancels the external force, so the
@@ -228,7 +235,7 @@ def measure_contraction(p, force, delta, grid, K, xi0, n_pairs=20, seed=0, threa
     linearly with delta.
     """
     rng = np.random.default_rng(seed)
-    solver = NonlinearChannelSolver(p, grid, K, xi0, threads=threads)
+    solver = NonlinearChannelSolver(p, grid, K, xi0)
     zero = ForceField.zero(xi0, K, grid) if force is None else force
     force_modes = zero.modes()
     worst = 0.0
@@ -244,7 +251,7 @@ def measure_contraction(p, force, delta, grid, K, xi0, n_pairs=20, seed=0, threa
     return float(worst)
 
 
-def uniqueness_probe(p, n_starts, delta, grid, K, xi0, tol=None, seed=0, threads=1):
+def uniqueness_probe(p, n_starts, delta, grid, K, xi0, tol=None, seed=0):
     """Drive the unforced iteration from random starts inside the ball.
 
     Returns True iff every start converges to the zero perturbation, i.e.
@@ -252,7 +259,7 @@ def uniqueness_probe(p, n_starts, delta, grid, K, xi0, tol=None, seed=0, threads
     """
     rng = np.random.default_rng(seed)
     tol = delta * 1e-8 if tol is None else tol
-    solver = NonlinearChannelSolver(p, grid, K, xi0, threads=threads)
+    solver = NonlinearChannelSolver(p, grid, K, xi0)
     force = ForceField.zero(xi0, K, grid)
     cfg = PicardConfig(delta=delta, tol=tol, max_iter=200)
     for _ in range(n_starts):
@@ -288,10 +295,10 @@ def random_force(rng, grid, K, xi0, amplitude, n_y_modes=5, decay=0.5):
     return ForceField(xi0, K, grid, f * s, g * s)
 
 
-def measure_kappa0(p, grid, K, xi0, n_samples=12, seed=0, threads=1):
+def measure_kappa0(p, grid, K, xi0, n_samples=12, seed=0):
     """Linear solvability constant: sup (||v||_H2 + ||grad q||_L2) / ||f||_L2."""
     rng = np.random.default_rng(seed)
-    solver = LinearizedChannelSolver(p, grid, K, xi0, threads=threads)
+    solver = LinearizedChannelSolver(p, grid, K, xi0)
     worst = 0.0
     for _ in range(n_samples):
         force = random_force(rng, grid, K, xi0, 1.0)

@@ -128,6 +128,10 @@ class OSModeOperator:
                 rcond=float(self.rcond),
             )
 
+    def inverse(self):
+        """Dense inverse of the bordered system from the equilibrated LU."""
+        return sla.lu_solve(self._lu, np.diag(self._row_scale), check_finite=False)
+
     def solve(self, h):
         """Solve for the given source and package diagnostics."""
         g = self.grid

@@ -405,13 +405,12 @@ def test_criterion_09_injectivity_witness(neutral_full):
     )
 
 
-def _regression_snapshot(threads):
+def _regression_snapshot():
     grid = build_grid(40)
-    k0 = measure_kappa0(POISEUILLE, grid, 4, 1.0, n_samples=8, seed=1, threads=threads)
+    k0 = measure_kappa0(POISEUILLE, grid, 4, 1.0, n_samples=8, seed=1)
     c1 = measure_c1(grid, 4, 1.0, n_pairs=8, seed=2)
     delta = contraction_ball_radius(k0, c1)
-    ratio = measure_contraction(POISEUILLE, None, delta, grid, 4, 1.0, n_pairs=8, seed=3,
-                                threads=threads)
+    ratio = measure_contraction(POISEUILLE, None, delta, grid, 4, 1.0, n_pairs=8, seed=3)
     g64 = build_grid(64)
     h = GridFunction.from_callable(g64, lambda y: np.sin(np.pi * y))
     sol = solve_os_mode(POISEUILLE, 1.0, h, g64)
@@ -432,7 +431,7 @@ def _regression_snapshot(threads):
 
 def test_criterion_10_regression_stability():
     t0 = time.time()
-    runs = [_regression_snapshot(1), _regression_snapshot(1), _regression_snapshot(2)]
+    runs = [_regression_snapshot() for _ in range(3)]
     bad = []
     for key, (ref, tol) in runs[0].items():
         for other in runs[1:]:
@@ -444,6 +443,6 @@ def test_criterion_10_regression_stability():
     report(
         "10 regression stability",
         ok,
-        f"8 constants reproducible across two runs and two thread counts "
+        f"8 constants reproducible across three runs "
         f"({'OK' if not bad else '; '.join(bad)}), {elapsed:.0f}s",
     )

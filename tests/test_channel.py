@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from cpflow import channel, os_solver
 from cpflow.channel import (
     ChannelField,
     ForceField,
     LinearizedChannelSolver,
+    analyze,
     check_symmetry_cancellation,
     field_h_norm,
     gamma_energy,
@@ -13,10 +15,15 @@ from cpflow.channel import (
     recover_pressure_gradient,
     stream_cross_integrals,
     symmetry_project,
+    synthesize,
+    x_grid,
     x_norm,
 )
 from cpflow.errors import DomainError, InadmissibleProfileError, ResolutionError
+from cpflow.nonlinear import random_force
+from cpflow.os_solver import OSModeOperator, os_rhs_from_force, solve_os_zero_mode
 from cpflow.profiles import Profile, poiseuille_for_flux
+from cpflow.spectral import GridFunction, build_grid
 from manufactured import ModePoly, linearized_force
 
 POISEUILLE = poiseuille_for_flux(4.0)
@@ -115,6 +122,79 @@ class TestLinearizedSolve:
         grad = recover_pressure_gradient(POISEUILLE, fld, force)
         qx0 = grad.qx_modes[4]  # k = 0 row
         assert np.abs(qx0 - qx0.mean()).max() <= 1e-7
+
+
+class TestBatchedSolve:
+    """The stacked-inverse solve against one factorized operator per mode."""
+
+    @pytest.mark.parametrize("N", [48, 96])
+    @pytest.mark.parametrize("p", [POISEUILLE, Profile(-0.7, 0.3, 3.0)], ids=["poiseuille", "skewed"])
+    def test_matches_per_mode_reference(self, p, N):
+        K, xi0 = 32, 1.0
+        grid = build_grid(N)
+        force = random_force(np.random.default_rng(N), grid, K, xi0, 1.0)
+        f_modes, g_modes = force.modes()
+        fld = LinearizedChannelSolver(p, grid, K, xi0).solve_modes(f_modes, g_modes)
+        residuals = fld.solve_info["mode_residuals"]
+        h0 = GridFunction(grid, -(grid.D1 @ f_modes[K].real))
+        refs = [(0, solve_os_zero_mode(h0, grid))]
+        for k in range(1, K + 1):
+            h = os_rhs_from_force(f_modes[K + k], g_modes[K + k], k * xi0, grid)
+            refs.append((k, OSModeOperator(p, k * xi0, grid).solve(h)))
+        for k, ref in refs:
+            want = ref.phi.values
+            assert np.abs(fld.mode(k) - want).max() <= 1e-9 * np.abs(want).max()
+            assert np.abs(fld.mode(-k) - np.conj(want)).max() <= 1e-9 * np.abs(want).max()
+            assert residuals[k] <= 10.0 * ref.residual_norm
+
+    def test_solve_info_reports_mode_conditioning(self, grid48):
+        K = 6
+        fld = LinearizedChannelSolver(POISEUILLE, grid48, K, 1.0).solve(
+            random_force(np.random.default_rng(3), grid48, K, 1.0, 1.0)
+        )
+        rcond = fld.solve_info["mode_rcond"]
+        assert len(rcond) == K + 1 == len(fld.solve_info["mode_residuals"])
+        assert all(r >= 1e-14 for r in rcond)
+        assert rcond[1] == OSModeOperator(POISEUILLE, 1.0, grid48).rcond
+
+    def test_factorization_counts(self, grid32, monkeypatch):
+        # K factorizations per build, one (the mean mode) per solve
+        built = []
+
+        class Counting(OSModeOperator):
+            def __init__(self, *args, **kwargs):
+                built.append(args[1])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "OSModeOperator", Counting)
+        monkeypatch.setattr(os_solver, "OSModeOperator", Counting)
+        K = 5
+        solver = LinearizedChannelSolver(POISEUILLE, grid32, K, 1.0)
+        assert built == [float(k) for k in range(1, K + 1)]
+        force = ForceField.zero(1.0, K, grid32)
+        for n in (1, 2):
+            solver.solve(force)
+            assert len(built) == K + n and built[-1] == 0.0
+
+
+class TestSynthesis:
+    @pytest.mark.parametrize("xi0", [0.5, 1.0, 2.3])
+    @pytest.mark.parametrize("K", [1, 8, 32])
+    def test_fft_equals_phase_sum(self, K, xi0):
+        rng = np.random.default_rng(K)
+        modes = rng.normal(size=(2 * K + 1, 9)) + 1j * rng.normal(size=(2 * K + 1, 9))
+        phase = np.exp(1j * xi0 * np.outer(x_grid(xi0, K), np.arange(-K, K + 1)))
+        want = (phase @ modes).real
+        assert np.abs(synthesize(modes, xi0, K) - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("K", [1, 8, 32])
+    def test_analyze_inverts_synthesize(self, K):
+        rng = np.random.default_rng(K)
+        modes = rng.normal(size=(2 * K + 1, 9)) + 1j * rng.normal(size=(2 * K + 1, 9))
+        modes = 0.5 * (modes + np.conj(modes[::-1]))  # mode -k = conj(mode k): real data
+        back, tail = analyze(synthesize(modes, 1.0, K), K)
+        assert np.abs(back - modes).max() <= 1e-13 * np.abs(modes).max()
+        assert tail <= 1e-28
 
 
 class TestWindowedNorms:

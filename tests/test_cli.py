@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cpflow import cli
 from cpflow.cli import main
 from cpflow.errors import ConfigError
 from cpflow.forcing import compile_expression
@@ -58,19 +59,26 @@ class TestSolveMode:
         assert data["results"]["numerics"]["N"] == 64
         assert "timestamp" in meta
 
-    def test_payload_idempotent_across_runs_and_threads(self, tmp_path):
+    def test_payload_idempotent_across_runs(self, tmp_path):
         payloads = []
-        for name, threads in (("a.json", "1"), ("b.json", "2")):
+        for name in ("a.json", "b.json"):
             out = tmp_path / name
             run_cli(
                 ["solve-mode", "--profile", "poiseuille", "--flux", "4", "--xi", "1",
-                 "--N", "48", "--seed", "7", "--threads", threads, "--output", str(out)]
+                 "--N", "48", "--seed", "7", "--output", str(out)]
             )
             data, _ = load_payload(out)
             data["config"].pop("output")
-            data["config"].pop("threads")
             payloads.append(json.dumps(data, sort_keys=True))
         assert payloads[0] == payloads[1]
+
+    def test_threads_option_is_gone(self, tmp_path):
+        code = run_cli(
+            ["solve-mode", "--profile", "poiseuille", "--xi", "1", "--threads", "2",
+             "--output", str(tmp_path / "x.json")]
+        )
+        assert code == 2
+        assert not (tmp_path / "x.json").exists()
 
     def test_missing_profile_is_config_error(self, tmp_path):
         code = run_cli(["solve-mode", "--xi", "1", "--output", str(tmp_path / "x.json")])
@@ -217,7 +225,12 @@ class TestRegression:
         base.write_text(json.dumps(data))
         assert run_cli(args) == 4
 
-    def test_missing_baseline_is_config_error(self, tmp_path):
+    def test_missing_baseline_is_config_error(self, tmp_path, monkeypatch):
+        # the file is checked before anything is measured
+        def measure_baseline(args, p):
+            raise AssertionError("measured before checking the baseline file")
+
+        monkeypatch.setattr(cli, "measure_baseline", measure_baseline)
         code = run_cli(["regression", "--baseline", str(tmp_path / "none.json")])
         assert code == 2
 

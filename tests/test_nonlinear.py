@@ -95,6 +95,37 @@ class TestPicardSolve:
         assert trace.final_residual <= 1e-7
         assert nonlinear_residual(POISEUILLE, fld, force) <= 1e-7
 
+    def _floor_case(self, grid48, tol):
+        # unprojected solve from Y1 data whose residual floor (about 3e-9)
+        # sits above 10 * tol at tol 1e-10 while increments reach roundoff
+        p = Profile(-1.0, 0.0, 3.5)
+        force = ForceField.from_callables(
+            1.0, 6, grid48, lambda x, y: 0.05 * np.cos(x) * (1.0 - y**2),
+            lambda x, y: 0.05 * np.sin(x) * y,
+        )
+        w0 = symmetry_project(random_field(np.random.default_rng(607), grid48, 6, 1.0, 1.0), "Y1")
+        cfg = PicardConfig(delta=50.0, tol=tol, max_iter=100)
+        solver = NonlinearChannelSolver(p, grid48, 6, 1.0)
+        v, trace = solver.solve(force, cfg, w0=w0)
+        return p, force, solver, v, trace
+
+    def test_residual_floor_stops_unconverged(self, grid48):
+        p, force, solver, v, trace = self._floor_case(grid48, 1e-10)
+        assert not trace.converged
+        assert trace.n_iter <= 5 and len(trace.iterates) == trace.n_iter
+        assert trace.final_residual > 1e-9
+        assert trace.final_residual == nonlinear_residual(p, v, force)
+        # further map applications leave the residual at its floor
+        w, force_modes = v, force.modes()
+        for _ in range(5):
+            w = solver.picard_map(force_modes, w)
+        assert nonlinear_residual(p, w, force) > 0.5 * trace.final_residual
+
+    def test_residual_floor_case_converges_at_looser_tol(self, grid48):
+        _p, _force, _solver, _v, trace = self._floor_case(grid48, 1e-9)
+        assert trace.converged and trace.n_iter <= 3
+        assert trace.final_residual < 1e-8
+
 
 class TestContraction:
     def test_ratio_below_half_at_derived_radius(self, grid32):
