@@ -60,31 +60,32 @@ def x_grid(xi0, K):
 
 
 def synthesize(modes, xi0, K):
-    """Real part of sum_k modes[k] exp(i k xi0 x), k = -K..K, on ``x_grid``.
+    """Real part of sum_k modes[..., k, :] exp(i k xi0 x), k = -K..K, on ``x_grid``.
 
-    There the phases are exp(2 pi i k j / Mx) whatever xi0: an inverse FFT.
+    Leading axes are batch axes.  There the phases are exp(2 pi i k j / Mx)
+    whatever xi0, and the real part of the sum is the inverse real FFT of
+    the Hermitian part d_k = (c_k + conj c_-k) / 2, k = 0..K.
     """
-    Mx = n_x_points(K)
-    padded = np.zeros((Mx,) + modes.shape[1:], dtype=complex)
-    padded[: K + 1] = modes[K:]
-    padded[Mx - K :] = modes[:K]
-    return np.fft.ifft(padded, axis=0, norm="forward").real
+    half = 0.5 * (modes[..., K:, :] + np.conj(modes[..., K::-1, :]))
+    return np.fft.irfft(half, n=n_x_points(K), axis=-2, norm="forward")
 
 
 def analyze(values, K):
-    """Fourier coefficients k = -K..K of real tensor-grid data.
+    """Fourier coefficients k = -K..K of real tensor-grid data (x on axis -2).
 
-    Returns (modes, tail_fraction) where tail_fraction is the energy of
-    the discarded modes |k| > K relative to the total.
+    Leading axes are batch axes.  Returns (modes, tail_fraction) where
+    tail_fraction, one per batch entry, is the energy of the discarded
+    modes |k| > K relative to the total over the full spectrum.
     """
     values = np.asarray(values, dtype=float)
-    Mx = values.shape[0]
-    coeffs = np.fft.fft(values, axis=0) / Mx
-    energy = np.sum(np.abs(coeffs) ** 2, axis=1)
-    total = float(energy.sum())
-    kept = float(energy[: K + 1].sum() + energy[Mx - K :].sum()) if K > 0 else float(energy[0])
-    tail = 0.0 if total == 0.0 else max(0.0, (total - kept) / total)
-    modes = np.concatenate([coeffs[Mx - K :], coeffs[: K + 1]])
+    Mx = values.shape[-2]
+    half = np.fft.rfft(values, axis=-2, norm="forward")
+    energy = np.sum(np.abs(half) ** 2, axis=-1)
+    energy[..., 1 : (Mx + 1) // 2] *= 2.0  # modes k and -k of real data
+    total = energy.sum(axis=-1)
+    lost = np.maximum(total - energy[..., : K + 1].sum(axis=-1), 0.0)
+    tail = np.divide(lost, total, out=np.zeros_like(total), where=total > 0.0)
+    modes = np.concatenate([np.conj(half[..., K:0:-1, :]), half[..., : K + 1, :]], axis=-2)
     return modes, tail
 
 
@@ -112,13 +113,13 @@ class ForceField:
 
     def modes(self):
         """Per-mode coefficients with a resolution check on the tail."""
-        fm, ft = analyze(self.f, self.K)
-        gm, gt = analyze(self.g, self.K)
+        (fm, gm), tails = analyze(np.stack([self.f, self.g]), self.K)
+        tail = float(tails.max())
         scale = max(np.abs(self.f).max(initial=0.0), np.abs(self.g).max(initial=0.0))
-        if scale > 0.0 and max(ft, gt) > FORCE_TAIL_TOL:
+        if scale > 0.0 and tail > FORCE_TAIL_TOL:
             raise ResolutionError(
                 f"force not resolved by modes |k| <= {self.K}: "
-                f"tail energy fraction {max(ft, gt):.3e}"
+                f"tail energy fraction {tail:.3e}"
             )
         return fm, gm
 
@@ -230,14 +231,36 @@ def _cell_l2sq(modes, xi0, grid):
 
 
 def field_h_norm(fld, m):
-    """H^m norm of the velocity field (v, w) over the periodic cell."""
+    """H^m norm of the velocity field (v, w) over the periodic cell.
+
+    Mode k of d_x^a d_y^b u has squared norm kappa^(2a) ||D_b u_k||^2 with
+    kappa = k xi0, so y-derivative order b carries the weight
+    c_b = sum_{a <= m - b} kappa^(2a); and w = -i kappa psi gives
+    ||D_b w_k||^2 = kappa^2 ||D_b psi_k||^2.  The y-derivatives of psi and
+    of v = D1 psi come from two stacked products on the real and imaginary
+    parts.
+    """
     if not 0 <= m <= 2:
         raise DomainError("field Sobolev order limited to 0..2")
+    grid, n, nk, pm = fld.grid, fld.grid.N + 1, 2 * fld.K + 1, fld.psi_modes
+    dy = np.concatenate([grid.D1.T, grid.D2.T], axis=1)
+    X = np.concatenate([pm.real, pm.imag])
+    R1 = X @ dy  # [D1 psi | D2 psi]
+    R2 = R1[:, :n] @ dy  # [D1 v | D2 v]
+
+    def sq(A):  # quadrature-weighted squares per block and mode
+        A = A.reshape(len(A), -1, n)
+        s = np.einsum("ijk,ijk,k->ji", A, A, grid.quad_weights)
+        return s[:, :nk] + s[:, nk:]
+
+    (psi,), (psi_y, psi_yy), (v_y, v_yy) = sq(X), sq(R1), sq(R2)
+    kappa2 = (fld.xi0 * np.arange(-fld.K, fld.K + 1)) ** 2
+    v_sq, psi_sq = (psi_y, v_y, v_yy), (psi, psi_y, psi_yy)
     total = 0.0
-    for comp in (fld.v_modes(), fld.w_modes()):
-        for arr in _derivative_mode_sets(comp, fld.xi0, fld.K, fld.grid, m):
-            total += _cell_l2sq(arr, fld.xi0, fld.grid)
-    return float(np.sqrt(total))
+    for b in range(m + 1):
+        c_b = sum(kappa2**a for a in range(m - b + 1))
+        total += float(c_b @ (v_sq[b] + kappa2 * psi_sq[b]))
+    return math.sqrt(2.0 * math.pi / fld.xi0 * total)
 
 
 class LinearizedChannelSolver:

@@ -77,26 +77,18 @@ def advection_modes(fld_a, fld_b):
     products of K-band fields project exactly onto the kept modes.
     Returns the two component coefficient arrays in the k = -K..K layout.
     """
-    K = fld_a.K
-    grid = fld_a.grid
+    K, grid = fld_a.K, fld_a.grid
     ks = np.arange(-K, K + 1)
     ikx = (1j * fld_a.xi0 * ks)[:, None]
-    va = synthesize(fld_a.v_modes(), fld_a.xi0, K)
-    wa = synthesize(fld_a.w_modes(), fld_a.xi0, K)
-    vb_m = fld_b.v_modes()
-    wb_m = fld_b.w_modes()
-    vbx = synthesize(ikx * vb_m, fld_b.xi0, K)
-    vby = synthesize(vb_m @ grid.D1.T, fld_b.xi0, K)
-    wbx = synthesize(ikx * wb_m, fld_b.xi0, K)
-    wby = synthesize(wb_m @ grid.D1.T, fld_b.xi0, K)
-    a1 = va * vbx + wa * vby
-    a2 = va * wbx + wa * wby
-    a1_modes, _ = analyze(a1, K)
-    a2_modes, _ = analyze(a2, K)
+    vb_m, wb_m = fld_b.v_modes(), fld_b.w_modes()
+    va_m, wa_m = (vb_m, wb_m) if fld_a is fld_b else (fld_a.v_modes(), fld_a.w_modes())
+    stack = np.stack([va_m, wa_m, ikx * vb_m, vb_m @ grid.D1.T, ikx * wb_m, wb_m @ grid.D1.T])
+    va, wa, vbx, vby, wbx, wby = synthesize(stack, fld_a.xi0, K)
+    (a1_modes, a2_modes), _ = analyze(np.stack([va * vbx + wa * vby, va * wbx + wa * wby]), K)
     return a1_modes, a2_modes
 
 
-def nonlinear_residual(p, fld, force):
+def nonlinear_residual(p, fld, force, floor=1e-300):
     """Relative residual of the stationary perturbation problem.
 
     Pressure is eliminated by taking the curl of the momentum balance,
@@ -106,7 +98,8 @@ def nonlinear_residual(p, fld, force):
             + (psi_x Lap psi_y - psi_y Lap psi_x) = g_x - f_y.
 
     Mode derivatives are exact and the quadratic term is dealiased; the
-    evaluation shares no state with the LU solves of the iteration.
+    evaluation shares no state with the LU solves of the iteration.  The
+    residual norm is divided by max(||rhs||, ||Lap^2 psi||, ``floor``).
     """
     grid, K, xi0 = fld.grid, fld.K, fld.xi0
     F = p.F(grid.nodes)
@@ -116,10 +109,8 @@ def nonlinear_residual(p, fld, force):
     lap = pm @ grid.D2.T + ikx**2 * pm
     lap2 = lap @ grid.D2.T + ikx**2 * lap
     linear = lap2 - F[None, :] * (ikx * lap) + 6.0 * p.A * (ikx * pm)
-    psix = synthesize(ikx * pm, xi0, K)
-    psiy = synthesize(pm @ grid.D1.T, xi0, K)
-    lapx = synthesize(ikx * lap, xi0, K)
-    lapy = synthesize(lap @ grid.D1.T, xi0, K)
+    stack = np.stack([ikx * pm, pm @ grid.D1.T, ikx * lap, lap @ grid.D1.T])
+    psix, psiy, lapx, lapy = synthesize(stack, xi0, K)
     nl_modes, _ = analyze(psix * lapy - psiy * lapx, K)
     f_modes, g_modes = force.modes()
     rhs = ikx * g_modes - f_modes @ grid.D1.T
@@ -129,7 +120,7 @@ def nonlinear_residual(p, fld, force):
     def cell_norm(modes):
         return math.sqrt(period * float((np.abs(modes) ** 2 @ grid.quad_weights).sum()))
 
-    scale = max(cell_norm(rhs), cell_norm(lap2), 1e-300)
+    scale = max(cell_norm(rhs), cell_norm(lap2), floor)
     return cell_norm(res) / scale
 
 
@@ -156,10 +147,14 @@ class NonlinearChannelSolver:
 
         Convergence demands both an H^2 increment below ``cfg.tol`` and an
         independently evaluated nonlinear residual below ``10 * cfg.tol``
-        (guards against stagnation posing as convergence).  A second failed
-        check in a row that halved neither the residual nor the iterate
-        norm marks a residual floor and stops the loop unconverged.  Leaving
-        the ball raises :class:`BallEscapeError`; three consecutive
+        (guards against stagnation posing as convergence).  The residual is
+        scaled by max(||rhs||, ||Lap^2 psi||, ``cfg.tol``): where data and
+        iterate are both near zero a relative residual has no meaning, and
+        the floor makes it absolute there, so an unforced solve stops once
+        its iterate is below tol instead of running until it underflows.
+        A second failed check in a row that did not halve the residual
+        marks a residual floor and stops the loop unconverged.  Leaving the
+        ball raises :class:`BallEscapeError`; three consecutive
         non-contracting increments raise :class:`NonContractionError`.
         """
         force_modes = force.modes()
@@ -172,7 +167,7 @@ class NonlinearChannelSolver:
         w = project(self.picard_map(force_modes, None)) if w0 is None else project(w0)
         iterates = []
         prev_inc = None
-        failed = None  # (residual, norm) of a failed check at the previous step
+        failed = None  # residual of a failed check at the previous step
         bad_streak = 0
         factor = 0.0
         converged = False
@@ -200,17 +195,16 @@ class NonlinearChannelSolver:
                     )
             w = v
             if inc < cfg.tol:
-                final_residual = nonlinear_residual(self.p, w, force)
+                final_residual = nonlinear_residual(self.p, w, force, floor=cfg.tol)
                 if final_residual < 10.0 * cfg.tol:
                     converged = True
                     break
-                # an iterate collapsing onto zero keeps a relative residual near 1
-                if failed and final_residual > 0.5 * failed[0] and nv > 0.5 * failed[1]:
+                if failed is not None and final_residual > 0.5 * failed:
                     break
-            failed = (final_residual, nv) if inc < cfg.tol else None
+            failed = final_residual if inc < cfg.tol else None
             prev_inc = inc
         if not converged and math.isinf(final_residual):
-            final_residual = nonlinear_residual(self.p, w, force)
+            final_residual = nonlinear_residual(self.p, w, force, floor=cfg.tol)
         trace = PicardTrace(
             iterates=tuple(iterates),
             contraction_factor=float(factor),

@@ -11,6 +11,7 @@ from cpflow.channel import (
     check_symmetry_cancellation,
     field_h_norm,
     gamma_energy,
+    n_x_points,
     random_field,
     recover_pressure_gradient,
     stream_cross_integrals,
@@ -177,6 +178,37 @@ class TestBatchedSolve:
             assert len(built) == K + n and built[-1] == 0.0
 
 
+def loop_h_norm(fld, m):
+    """Reference H^m norm: one mode-wise array per derivative d_x^a d_y^b, a + b <= m."""
+    ikx = (1j * fld.xi0 * np.arange(-fld.K, fld.K + 1))[:, None]
+    D = {1: fld.grid.D1, 2: fld.grid.D2}
+    total = 0.0
+    for comp in (fld.psi_modes @ fld.grid.D1.T, -ikx * fld.psi_modes):
+        for order in range(m + 1):
+            for b in range(order + 1):
+                arr = comp if b == 0 else comp @ D[b].T
+                arr = arr * ikx ** (order - b)
+                total += float((np.abs(arr) ** 2 @ fld.grid.quad_weights).sum())
+    return np.sqrt(2.0 * np.pi / fld.xi0 * total)
+
+
+class TestHNorm:
+    @pytest.mark.parametrize("N, K", [(48, 4), (96, 32)])
+    def test_matches_loop_reference(self, N, K):
+        grid, xi0 = build_grid(N), 1.3
+        rng = np.random.default_rng(N + K)
+        fields = [random_field(rng, grid, K, xi0, h2) for h2 in (0.1, 2.0)]
+        force = random_force(rng, grid, K, xi0, 1.0)
+        fields.append(LinearizedChannelSolver(POISEUILLE, grid, K, xi0).solve(force))
+        raw = rng.normal(size=(2 * K + 1, N + 1)) + 1j * rng.normal(size=(2 * K + 1, N + 1))
+        fields.append(ChannelField(xi0, K, grid, raw))
+        assert fields[-1].conjugate_symmetry_error() > 0.1
+        for fld in fields:
+            for m in (0, 1, 2):
+                want = loop_h_norm(fld, m)
+                assert abs(field_h_norm(fld, m) - want) <= 1e-13 * want
+
+
 class TestSynthesis:
     @pytest.mark.parametrize("xi0", [0.5, 1.0, 2.3])
     @pytest.mark.parametrize("K", [1, 8, 32])
@@ -195,6 +227,34 @@ class TestSynthesis:
         back, tail = analyze(synthesize(modes, 1.0, K), K)
         assert np.abs(back - modes).max() <= 1e-13 * np.abs(modes).max()
         assert tail <= 1e-28
+
+    @pytest.mark.parametrize("K", [1, 8, 32])
+    def test_stacked_calls_equal_per_slice(self, K):
+        rng = np.random.default_rng(K)
+        shape = (2, 3, 2 * K + 1, 9)
+        modes = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        values = synthesize(modes, 0.7, K)
+        back, tail = analyze(values, K)
+        assert values.shape == (2, 3, n_x_points(K), 9) and tail.shape == (2, 3)
+        for i in np.ndindex(2, 3):
+            one = synthesize(modes[i], 0.7, K)
+            assert np.abs(values[i] - one).max() <= 1e-15 * np.abs(one).max()
+            back_i, tail_i = analyze(one, K)
+            assert np.abs(back[i] - back_i).max() <= 1e-15 * np.abs(back_i).max()
+            assert tail[i] == pytest.approx(float(tail_i), rel=1e-15)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("K", [1, 8, 32])
+    def test_tail_fraction_matches_full_spectrum(self, K, extra):
+        # white noise has energy at every |k|; an odd length has no Nyquist mode
+        Mx = n_x_points(K) + extra
+        values = np.random.default_rng(K).normal(size=(3, Mx, 9))
+        _, tail = analyze(values, K)
+        energy = (np.abs(np.fft.fft(values, axis=1) / Mx) ** 2).sum(axis=2)
+        kept = energy[:, : K + 1].sum(axis=1) + energy[:, Mx - K :].sum(axis=1)
+        want = (energy.sum(axis=1) - kept) / energy.sum(axis=1)
+        assert want.min() > 0.1
+        assert np.abs(tail - want).max() <= 1e-12 * want.max()
 
 
 class TestWindowedNorms:

@@ -64,6 +64,18 @@ class TestPicardSolve:
         assert all(r < 0.6 for r in ratios)
         assert trace.contraction_factor < 1.0
 
+    def test_zero_force_stops_before_iterates_underflow(self, grid48):
+        # with zero data the residual is scaled by the tol floor, so the solve
+        # stops at its first small increment instead of running until the
+        # iterate leaves the normal floating-point range
+        delta, K = 10.0, 4
+        w0 = random_field(np.random.default_rng(9), grid48, K, 1.0, 0.9 * delta)
+        cfg = PicardConfig(delta=delta, tol=1e-9, max_iter=100)
+        v, trace = picard_solve(POISEUILLE, ForceField.zero(1.0, K, grid48), cfg, grid48, K, 1.0, w0=w0)
+        assert trace.converged and trace.n_iter <= 5
+        assert field_h_norm(v, 2) <= 10.0 * cfg.tol
+        assert all(nv == 0.0 or nv > 1e-250 for nv, _inc in trace.iterates)
+
     def test_manufactured_nonlinear_solution(self, grid48):
         # small exact solution; its full nonlinear residual becomes the force
         xi0, K = 1.0, 8
