@@ -19,7 +19,6 @@ from .channel import (
     gamma_energy,
     random_field,
     recover_pressure_gradient,
-    solve_linearized,
     symmetry_project,
     x_norm,
 )

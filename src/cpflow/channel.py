@@ -30,7 +30,6 @@ __all__ = [
     "PressureGradient",
     "EnergyReport",
     "LinearizedChannelSolver",
-    "solve_linearized",
     "recover_pressure_gradient",
     "x_norm",
     "gamma_energy",
@@ -322,13 +321,6 @@ class LinearizedChannelSolver:
         return self.solve_modes(f_modes, g_modes)
 
 
-def solve_linearized(p, force, grid, K, xi0=None):
-    """Solve the linearized perturbation problem driven by ``force``."""
-    xi0 = force.xi0 if xi0 is None else xi0
-    solver = LinearizedChannelSolver(p, grid, K, xi0)
-    return solver.solve(force)
-
-
 @dataclass(frozen=True)
 class PressureGradient:
     """Gradient of the perturbation pressure (the pressure itself is a
@@ -393,37 +385,22 @@ def recover_pressure_gradient(p, fld, force, nonlinear_modes=None):
 # ---------------------------------------------------------------------------
 
 
-def _window_factor(dk, xi0, width):
-    """Exact integral of exp(i dk xi0 x) over an x-window of given width,
-    as (offset-independent magnitude) paired with offset phases later."""
-    if dk == 0:
-        return width
-    arg = dk * xi0
-    return (np.exp(1j * arg * width) - 1.0) / (1j * arg)
-
-
-def _window_quadratic(mode_sets, xi0, K, grid, offsets, width, weight=None):
+def _window_quadratic(mode_sets, xi0, K, grid, offsets, width):
     """sum_alpha int_{a}^{a+width} int_y |d^alpha u|^2 for every offset a.
 
     Uses the exact mode-pair formula: the x-integral of
-    e^{i(k-l) xi0 x} over (a, a+width) is e^{i(k-l) xi0 a} * Lambda(k-l).
+    e^{i(k-l) xi0 x} over (a, a+width) is e^{i(k-l) xi0 a} * Lambda(k-l),
+    with Lambda(0) = width.  One Gram matrix of the stacked mode sets and
+    one product with the offset phases P give every window at once.
     """
-    w = grid.quad_weights if weight is None else grid.quad_weights * weight
-    n = 2 * K + 1
-    G = np.zeros((n, n), dtype=complex)
-    for arr in mode_sets:
-        G += (arr * w[None, :]) @ np.conj(arr).T
-    dks = np.arange(-(n - 1), n)
-    lam = np.array([_window_factor(dk, xi0, width) for dk in dks])
-    vals = np.empty(len(offsets))
+    S = np.concatenate(mode_sets, axis=1)
+    G = (S * np.tile(grid.quad_weights, len(mode_sets))) @ np.conj(S).T
     kk = np.arange(-K, K + 1)
-    dk_mat = kk[:, None] - kk[None, :]
-    lam_mat = lam[dk_mat + (n - 1)]
-    base = G * lam_mat
-    for i, a in enumerate(offsets):
-        ph = np.exp(1j * xi0 * kk * a)
-        vals[i] = float(np.real(ph @ base @ np.conj(ph)))
-    return vals
+    arg = xi0 * (kk[:, None] - kk[None, :])
+    zero = arg == 0.0
+    lam = np.where(zero, width, (np.exp(1j * arg * width) - 1.0) / (1j * np.where(zero, 1.0, arg)))
+    P = np.exp(1j * xi0 * np.outer(offsets, kk))
+    return np.real(np.sum((P @ (G * lam)) * np.conj(P), axis=1))
 
 
 def x_norm(fld, m, scalar_modes=None):
@@ -630,21 +607,21 @@ def random_field(rng, grid, K, xi0, h2_norm, n_y_modes=4, decay=0.6):
 
 
 def export_field_csv(fld, path, pressure=None):
-    """Write (x, y, v, w, qx, qy) rows for the tensor grid."""
-    x = fld.x()
-    y = fld.grid.nodes
+    """Write (x, y, v, w, qx, qy) rows for the tensor grid, x slowest.
+
+    Each node coordinate is formatted once; the body is one %-format.
+    """
     v = fld.v_values()
-    w = fld.w_values()
     qx = pressure.qx_values() if pressure is not None else np.zeros_like(v)
     qy = pressure.qy_values() if pressure is not None else np.zeros_like(v)
+    rows = np.empty((v.size, 6), dtype=object)
+    rows[:, 0] = np.repeat(["%.17g" % x for x in fld.x()], v.shape[1])
+    rows[:, 1] = np.tile(["%.17g" % y for y in fld.grid.nodes], v.shape[0])
+    for col, vals in enumerate((v, fld.w_values(), qx, qy), start=2):
+        rows[:, col] = vals.ravel()
     with open(path, "w") as fh:
         fh.write("x,y,v,w,qx,qy\n")
-        for i in range(len(x)):
-            for j in range(len(y)):
-                fh.write(
-                    f"{x[i]:.17g},{y[j]:.17g},{v[i, j]:.17g},{w[i, j]:.17g},"
-                    f"{qx[i, j]:.17g},{qy[i, j]:.17g}\n"
-                )
+        fh.write("%s,%s,%.17g,%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel()))
 
 
 def field_header(fld, p):

@@ -31,6 +31,7 @@ from .errors import ConfigError, CpflowError
 from .forcing import compile_expression
 from .nonlinear import (
     PicardConfig,
+    advection_modes,
     contraction_ball_radius,
     measure_c1,
     measure_contraction,
@@ -103,7 +104,7 @@ def build_parser():
     sp.add_argument("--f", default="0.0*y", help="streamwise force expression in x, y")
     sp.add_argument("--g", default="0.0*y", help="wall-normal force expression in x, y")
     sp.add_argument("--delta", type=float, default=None, help="ball radius (default from measured constants)")
-    sp.add_argument("--symmetry", choices=("X1", "Y1", "Y2"), default=None)
+    sp.add_argument("--symmetry", choices=("X1", "Y1"), default=None)
 
     sp = sub.add_parser("spectrum", help="resolution-filtered stability spectrum at (A, T)")
     _add_common(sp, n_default=120)
@@ -303,7 +304,7 @@ def cmd_solve_nonlinear(args):
         delta = args.delta
     cfg = PicardConfig(delta=delta, tol=args.tol, max_iter=args.max_iter, symmetry_class=args.symmetry)
     fld, trace = picard_solve(p, force, cfg, grid, args.K, args.xi0)
-    grad = recover_pressure_gradient(p, fld, force, nonlinear_modes=None)
+    grad = recover_pressure_gradient(p, fld, force, nonlinear_modes=advection_modes(fld, fld))
     base = output_path(args)
     stem = os.path.splitext(base)[0]
     export_field_csv(fld, stem + ".csv", pressure=grad)
@@ -319,6 +320,7 @@ def cmd_solve_nonlinear(args):
         "contraction_factor": trace.contraction_factor,
         "final_residual": trace.final_residual,
         "H2_norm": field_h_norm(fld, 2),
+        "curl_residual": grad.curl_residual,
     }
     print(
         f"solve-nonlinear: converged={trace.converged} after {trace.n_iter} iterations, "
@@ -334,8 +336,8 @@ def cmd_spectrum(args):
     csv_path = os.path.splitext(base)[0] + ".csv"
     with open(csv_path, "w") as fh:
         fh.write("re,im,resolved\n")
-        for lam, ok in zip(res.raw, res.resolved_mask):
-            fh.write(f"{lam.real:.17g},{lam.imag:.17g},{int(ok)}\n")
+        cols = (res.raw.real, res.raw.imag, res.resolved_mask.astype(int))
+        fh.write("%.17g,%.17g,%d\n" * len(res.raw) % tuple(np.column_stack(cols).ravel()))
     results = {
         "numerics": {"N": args.N},
         "A": args.A,

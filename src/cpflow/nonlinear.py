@@ -45,7 +45,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Iteration controls; the ball radius delta carries the smallness."""
+    """Iteration controls; the ball radius delta carries the smallness.
+
+    ``symmetry_class`` projects every iterate onto X1 or Y1.  Y2 is not a
+    class of the iteration: the map sends Y2 data into Y1, so a Y2
+    projection would remove the nonlinear term.
+    """
 
     delta: float
     tol: float
@@ -55,8 +60,8 @@ class PicardConfig:
     def __post_init__(self):
         if not (0.0 < self.tol < self.delta):
             raise DomainError("need 0 < tol < delta")
-        if self.symmetry_class not in (None, "X1", "Y1", "Y2"):
-            raise DomainError("symmetry_class must be one of None, 'X1', 'Y1', 'Y2'")
+        if self.symmetry_class not in (None, "X1", "Y1"):
+            raise DomainError("symmetry_class must be one of None, 'X1', 'Y1'")
 
 
 @dataclass(frozen=True)

@@ -149,10 +149,6 @@ class GridFunction:
     def from_callable(cls, grid, fn):
         return cls(grid, np.asarray(fn(grid.nodes), dtype=complex))
 
-    def deriv(self, order=1):
-        D = (None, self.grid.D1, self.grid.D2, self.grid.D3, self.grid.D4)[order]
-        return GridFunction(self.grid, D @ self.values)
-
     def l2_norm(self):
         return self.grid.l2_norm(self.values)
 

@@ -5,6 +5,8 @@ from numpy.polynomial import Polynomial
 from cpflow import channel, os_solver
 from cpflow.channel import (
     ChannelField,
+    _derivative_mode_sets,
+    export_field_csv,
     ForceField,
     LinearizedChannelSolver,
     analyze,
@@ -298,6 +300,38 @@ class TestWindowedNorms:
                 assert x_norm(fld, m) <= field_h_norm(fld, m) * (1.0 + 1e-10)
 
 
+def loop_x_norm(fld, m):
+    """Reference windowed norm: one Gram sum per mode set, one phase product per offset."""
+    sets = []
+    for comp in (fld.v_modes(), fld.w_modes()):
+        sets.extend(_derivative_mode_sets(comp, fld.xi0, fld.K, fld.grid, m))
+    kk = np.arange(-fld.K, fld.K + 1)
+    G = sum((arr * fld.grid.quad_weights) @ np.conj(arr).T for arr in sets)
+    lam = np.empty((len(kk), len(kk)), dtype=complex)
+    for i, k in enumerate(kk):
+        for j, l in enumerate(kk):
+            arg = (k - l) * fld.xi0
+            lam[i, j] = 1.0 if k == l else (np.exp(1j * arg) - 1.0) / (1j * arg)
+    best = 0.0
+    for a in fld.x():
+        ph = np.exp(1j * fld.xi0 * kk * a)
+        best = max(best, float(np.real(ph @ (G * lam) @ np.conj(ph))))
+    return np.sqrt(best)
+
+
+class TestXNormProduct:
+    @pytest.mark.parametrize("K, xi0", [(4, 1.0), (16, 0.7), (32, 1.3)])
+    def test_matches_loop_reference(self, grid32, K, xi0):
+        rng = np.random.default_rng(K)
+        fields = [random_field(rng, grid32, K, xi0, 1.0)]
+        force = random_force(rng, grid32, K, xi0, 1.0)
+        fields.append(LinearizedChannelSolver(POISEUILLE, grid32, K, xi0).solve(force))
+        for fld in fields:
+            for m in (0, 1, 2):
+                want = loop_x_norm(fld, m)
+                assert abs(x_norm(fld, m) - want) <= 1e-13 * want
+
+
 class TestGammaEnergy:
     def test_zero_field(self, grid32):
         rep = gamma_energy(POISEUILLE, ChannelField.zero(1.0, 4, grid32), [1.0, 2.0])
@@ -405,3 +439,31 @@ class TestCancellation:
         fld = random_field(rng, grid32, 4, 1.0, 1.0)
         with pytest.raises(DomainError):
             check_symmetry_cancellation(Profile(-1.0, 0.5, 4.0), fld)
+
+
+def loop_export_field_csv(fld, path, pressure=None):
+    """Reference writer: one f-string per row."""
+    x, y = fld.x(), fld.grid.nodes
+    v, w = fld.v_values(), fld.w_values()
+    qx = pressure.qx_values() if pressure is not None else np.zeros_like(v)
+    qy = pressure.qy_values() if pressure is not None else np.zeros_like(v)
+    with open(path, "w") as fh:
+        fh.write("x,y,v,w,qx,qy\n")
+        for i in range(len(x)):
+            for j in range(len(y)):
+                fh.write(f"{x[i]:.17g},{y[j]:.17g},{v[i, j]:.17g},{w[i, j]:.17g},"
+                         f"{qx[i, j]:.17g},{qy[i, j]:.17g}\n")
+
+
+class TestExport:
+    @pytest.mark.parametrize("K", [1, 8])
+    @pytest.mark.parametrize("with_pressure", [False, True])
+    def test_csv_matches_loop_writer(self, grid32, tmp_path, K, with_pressure):
+        force = random_force(np.random.default_rng(K), grid32, K, 0.9, 1.0)
+        fld = LinearizedChannelSolver(POISEUILLE, grid32, K, 0.9).solve(force)
+        grad = recover_pressure_gradient(POISEUILLE, fld, force) if with_pressure else None
+        export_field_csv(fld, tmp_path / "bulk.csv", pressure=grad)
+        loop_export_field_csv(fld, tmp_path / "loop.csv", pressure=grad)
+        got = (tmp_path / "bulk.csv").read_bytes()
+        assert got == (tmp_path / "loop.csv").read_bytes()
+        assert got.count(b"\n") == 1 + n_x_points(K) * (grid32.N + 1)

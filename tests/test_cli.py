@@ -6,6 +6,8 @@ from cpflow import cli
 from cpflow.cli import main
 from cpflow.errors import ConfigError
 from cpflow.forcing import compile_expression
+from cpflow.spectral import build_grid
+from cpflow.spectrum import os_spectrum
 
 
 def run_cli(args):
@@ -165,6 +167,19 @@ class TestSpectrumCommand:
         assert lines[0] == "re,im,resolved"
         assert len(lines) > 50
 
+    def test_csv_rows_are_the_raw_spectrum(self, tmp_path):
+        # one row per raw eigenvalue, even block then odd block, written as
+        # a per-row f-string writer would
+        out = tmp_path / "eigs.json"
+        assert run_cli(["spectrum", "--A", "-0.3", "--T", "0.8", "--N", "48",
+                        "--output", str(out)]) == 0
+        res = os_spectrum(-0.3, 0.8, build_grid(48), with_vectors=False)
+        want = "re,im,resolved\n" + "".join(
+            f"{lam.real:.17g},{lam.imag:.17g},{int(ok)}\n"
+            for lam, ok in zip(res.raw, res.resolved_mask))
+        assert (tmp_path / "eigs.csv").read_text() == want
+        assert len(res.raw) == 47
+
 
 class TestVerifyAndSymmetry:
     def test_verify_estimates_green(self, tmp_path):
@@ -211,6 +226,31 @@ class TestSolveNonlinear:
         assert code == 0
         data, _ = load_payload(out)
         assert data["results"]["converged"]
+
+
+    def test_pressure_includes_quadratic_term(self, tmp_path):
+        # the recovered gradient is curl-free only with the self-advection
+        # (2.5e-6 without it, 1.7e-9 with it)
+        out = tmp_path / "nl.json"
+        code = run_cli(
+            ["solve-nonlinear", "--profile", "poiseuille", "--flux", "4", "--N", "48",
+             "--K", "8", "--f", "0.05*sin(x)*(1-y**2)", "--g", "0.05*cos(x)*y",
+             "--output", str(out)]
+        )
+        assert code == 0
+        res = load_payload(out)[0]["results"]
+        assert res["converged"]
+        assert res["curl_residual"] <= 1e-7
+
+    def test_y2_symmetry_class_is_gone(self, tmp_path):
+        # the map sends Y2 data into Y1, so a Y2-projected iteration cannot converge
+        code = run_cli(
+            ["solve-nonlinear", "--profile", "poiseuille", "--flux", "4", "--N", "32",
+             "--K", "4", "--f", "0.05*sin(x)*(1-y**2)", "--g", "0.05*cos(x)*y",
+             "--symmetry", "Y2", "--output", str(tmp_path / "nl.json")]
+        )
+        assert code == 2
+        assert not (tmp_path / "nl.json").exists()
 
 
 class TestRegression:

@@ -40,6 +40,8 @@ class TestPicardConfig:
     def test_symmetry_class_whitelist(self):
         with pytest.raises(DomainError):
             PicardConfig(delta=1.0, tol=1e-6, symmetry_class="X2")
+        with pytest.raises(DomainError):
+            PicardConfig(delta=1.0, tol=1e-6, symmetry_class="Y2")
 
 
 class TestPicardSolve:

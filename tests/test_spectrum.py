@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from cpflow.errors import BracketError, DomainError, ResolutionError
 from cpflow.profiles import Profile, check_admissibility, poiseuille_for_flux
@@ -139,6 +140,95 @@ class TestSensitivity:
                 - leading_eigenvalue(-a / 3.0, T - hT, N)) / (2.0 * hT)
         assert abs(d_a - fd_a) <= 1e-5 * abs(fd_a)
         assert abs(d_T - fd_T) <= 1e-5 * abs(fd_T)
+
+
+def dense_eig(A, T, N, with_vectors=False):
+    """Reference spectrum: the full pencil, one dense solve and eigen-solve."""
+    L, B = spectrum._pencil(A, T, N)
+    M = sla.solve(B, L)
+    return sla.eig(M) if with_vectors else sla.eigvals(M)
+
+
+def backward_errors(A, T, N, vals, vecs):
+    """||L x - lambda B x|| / ((||L|| + |lambda| ||B||) ||x||) per eigenpair."""
+    L, B = spectrum._pencil(A, T, N)
+    res = np.linalg.norm(L @ vecs - (B @ vecs) * vals, axis=0)
+    scale = np.linalg.norm(L, 2) + np.abs(vals) * np.linalg.norm(B, 2)
+    return res / (scale * np.linalg.norm(vecs, axis=0))
+
+
+class TestParitySplit:
+    # the folded solve (one block per y-parity) against the full pencil
+
+    @pytest.mark.parametrize("A, T", [(-0.2, 1.0), (-2.0, 1.3)])
+    @pytest.mark.parametrize("N", [24, 25, 120, 201])
+    def test_matches_dense_solve(self, N, A, T):
+        vals, vecs = spectrum._eig(A, T, N, with_vectors=True)
+        ref_vals, ref_vecs = dense_eig(A, T, N, with_vectors=True)
+        assert vals.shape == ref_vals.shape == (N - 1,) and vecs.shape == (N - 1, N - 1)
+        # same multiset: nearest partners both ways, and a one-to-one pairing
+        dist = np.abs(vals[:, None] - ref_vals[None, :])
+        assert (dist.min(axis=1) <= 1e-9 * np.abs(vals)).all()
+        assert (dist.min(axis=0) <= 1e-9 * np.abs(ref_vals)).all()
+        assert len(set(dist.argmin(axis=1))) == N - 1
+        worst_ref = backward_errors(A, T, N, ref_vals, ref_vecs).max()
+        assert (backward_errors(A, T, N, vals, vecs) <= 10.0 * worst_ref).all()
+
+    def test_blocks_are_even_then_odd(self):
+        N = 25
+        vals, vecs = spectrum._eig(-2.0, 1.3, N, with_vectors=True)
+        n_even = (N - 1) - (N - 1) // 2
+        mirrored = vecs[::-1]
+        assert np.abs(mirrored[:, :n_even] - vecs[:, :n_even]).max() <= 1e-15
+        assert np.abs(mirrored[:, n_even:] + vecs[:, n_even:]).max() <= 1e-15
+        assert np.linalg.norm(vecs, axis=0) == pytest.approx(np.ones(N - 1), rel=1e-13)
+
+    def test_matches_qz_at_the_neutral_point(self):
+        # acceptance-08 point; QZ keeps ~1e-7 in c at N = 200 but loses
+        # accuracy at N = 300 (7e-6 in c), so the cross-algorithm check is at 200
+        a, T = 5772.2218, 1.0205475
+        lam = leading_eigenvalue(-a / 3.0, T, 200)
+        cs = poiseuille_phase_speeds(a, T, 200)
+        c_qz = cs[np.argmax(cs.imag)]
+        c_mapped = lam / (-1j * T * a)
+        assert abs(c_mapped - c_qz) <= 1e-6
+        assert c_mapped.real == pytest.approx(CRIT_C, abs=1e-5)
+        assert abs(lam.real) <= 1e-6
+        ref = dense_eig(-a / 3.0, T, 300)
+        assert abs(leading_eigenvalue(-a / 3.0, T, 300) - ref[np.argmax(ref.real)]) <= 1e-10 * abs(lam)
+
+    def test_resolved_counts_match_dense_path(self, monkeypatch):
+        # seeded draws from the stable box |A T| <= 0.5 that the spectrum
+        # command is benchmarked on; leading eigenvalues agree at roundoff
+        # (the dense path and its transposed twin B^-T L^T differ by up to
+        # 1.2e-10 relative on these draws, the folded path by 1.5e-10)
+        rng = np.random.default_rng(2024)
+        grid = build_grid(120)
+        draws = []
+        for _ in range(30):
+            T = float(rng.uniform(0.5, 2.0))
+            draws.append((-float(rng.uniform(0.05, 0.5)) / T, T))
+        folded = [os_spectrum(A, T, grid, with_vectors=False) for A, T in draws]
+        monkeypatch.setattr(spectrum, "_eig", dense_eig)
+        for (A, T), got in zip(draws, folded):
+            want = os_spectrum(A, T, grid, with_vectors=False)
+            assert got.n_resolved == want.n_resolved
+            assert abs(got.leading - want.leading) <= 1e-9 * abs(want.leading)
+
+    def test_asymmetric_operators_rejected(self, monkeypatch):
+        # the fold is only valid for reflection-symmetric interior operators
+        from cpflow import spectral
+
+        exact = spectral.chebyshev_diff
+
+        def skewed(N):
+            D = exact(N)
+            D[1, 2] *= 1.0 + 1e-9
+            return D
+
+        monkeypatch.setattr(spectral, "chebyshev_diff", skewed)
+        with pytest.raises(ResolutionError):
+            spectrum._clamped_blocks.__wrapped__(31)
 
 
 @pytest.fixture(scope="module")
