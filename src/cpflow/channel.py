@@ -98,6 +98,10 @@ class ForceField:
     f: np.ndarray
     g: np.ndarray
 
+    def __post_init__(self):
+        if not (np.isfinite(self.f).all() and np.isfinite(self.g).all()):
+            raise DomainError("force samples must be finite")
+
     @classmethod
     def from_callables(cls, xi0, K, grid, f_fn, g_fn):
         x = x_grid(xi0, K)
@@ -166,9 +170,6 @@ class ChannelField:
     # --- synthesized values ------------------------------------------
     def x(self):
         return x_grid(self.xi0, self.K)
-
-    def psi_values(self):
-        return synthesize(self.psi_modes, self.xi0, self.K)
 
     def v_values(self):
         return synthesize(self.v_modes(), self.xi0, self.K)
@@ -385,8 +386,8 @@ def recover_pressure_gradient(p, fld, force, nonlinear_modes=None):
 # ---------------------------------------------------------------------------
 
 
-def _window_quadratic(mode_sets, xi0, K, grid, offsets, width):
-    """sum_alpha int_{a}^{a+width} int_y |d^alpha u|^2 for every offset a.
+def _window_quadratic(mode_sets, xi0, K, grid, offsets, width, weight=1.0):
+    """sum_alpha int_{a}^{a+width} int_y weight |d^alpha u|^2 for every offset a.
 
     Uses the exact mode-pair formula: the x-integral of
     e^{i(k-l) xi0 x} over (a, a+width) is e^{i(k-l) xi0 a} * Lambda(k-l),
@@ -394,7 +395,7 @@ def _window_quadratic(mode_sets, xi0, K, grid, offsets, width):
     one product with the offset phases P give every window at once.
     """
     S = np.concatenate(mode_sets, axis=1)
-    G = (S * np.tile(grid.quad_weights, len(mode_sets))) @ np.conj(S).T
+    G = (S * np.tile(grid.quad_weights * weight, len(mode_sets))) @ np.conj(S).T
     kk = np.arange(-K, K + 1)
     arg = xi0 * (kk[:, None] - kk[None, :])
     zero = arg == 0.0
@@ -430,31 +431,6 @@ class EnergyReport:
     gamma_control: dict
 
 
-def _centered_window(dk, xi0, L, period):
-    """Integral of exp(i dk xi0 x) over (-L, L), saturating at one cell."""
-    if 2.0 * L >= period:
-        return period if dk == 0 else 0.0
-    if dk == 0:
-        return 2.0 * L
-    arg = dk * xi0
-    return 2.0 * math.sin(arg * L) / arg
-
-
-def _centered_quadratic(mode_sets, xi0, K, grid, L, weight=None):
-    period = 2.0 * math.pi / xi0
-    w = grid.quad_weights if weight is None else grid.quad_weights * weight
-    n = 2 * K + 1
-    kk = np.arange(-K, K + 1)
-    dk_mat = kk[:, None] - kk[None, :]
-    lam = np.array([_centered_window(dk, xi0, L, period) for dk in range(-(n - 1), n)])
-    lam_mat = lam[dk_mat + (n - 1)]
-    total = 0.0
-    for arr in mode_sets:
-        G = (arr * w[None, :]) @ np.conj(arr).T
-        total += float(np.real(np.sum(G * lam_mat)))
-    return total
-
-
 def gamma_energy(p, fld, L_list):
     """Windowed weighted energy of sigma = psi / F over Q_L = (-L, L) x (-1, 1).
 
@@ -484,20 +460,23 @@ def gamma_energy(p, fld, L_list):
     pxx = ikx * px
     pxy = ikx * dpsi
     pyy = fld.psi_modes @ grid.D2.T
+    period = 2.0 * math.pi / xi0
+
+    def q(sets, L, weight=1.0):  # over Q_L, saturating at one cell
+        half = min(L, 0.5 * period)
+        return float(_window_quadratic(sets, xi0, K, grid, [-half], 2.0 * half, weight)[0])
+
     gamma = {}
     control = {}
     for L in L_list:
         g_val = (
-            -6.0 * p.A * _centered_quadratic([sx], xi0, K, grid, L)
-            - 12.0 * p.A * _centered_quadratic([sy], xi0, K, grid, L)
-            + _centered_quadratic([sxx], xi0, K, grid, L, weight=F)
-            + 2.0 * _centered_quadratic([sxy], xi0, K, grid, L, weight=F)
-            + _centered_quadratic([syy], xi0, K, grid, L, weight=F)
+            -6.0 * p.A * q([sx], L)
+            - 12.0 * p.A * q([sy], L)
+            + q([sxx], L, F)
+            + 2.0 * q([sxy], L, F)
+            + q([syy], L, F)
         )
-        c_val = (
-            _centered_quadratic([sy, sx, pxx, pyy], xi0, K, grid, L)
-            + 2.0 * _centered_quadratic([pxy], xi0, K, grid, L)
-        )
+        c_val = q([sy, sx, pxx, pyy], L) + 2.0 * q([pxy], L)
         gamma[float(L)] = float(g_val)
         control[float(L)] = float(c_val)
     Ls = sorted(gamma)
@@ -558,7 +537,7 @@ def stream_cross_integrals(p, fld):
     return I1, I2
 
 
-def check_symmetry_cancellation(p, fld, parity_tol=1e-9):
+def check_symmetry_cancellation(p, fld):
     """Cross terms that obstruct the symmetric energy estimate.
 
     For an even profile (B = 0) and a stream function of pure x-parity the
@@ -574,24 +553,24 @@ def check_symmetry_cancellation(p, fld, parity_tol=1e-9):
     odd = symmetry_project(fld, "X2")
     ne, no = field_h_norm(even, 0), field_h_norm(odd, 0)
     scale = max(ne, no, 1e-300)
-    if min(ne, no) > parity_tol * scale:
+    if min(ne, no) > 1e-9 * scale:
         raise DomainError("stream function mixes x-even and x-odd parts")
     return stream_cross_integrals(p, fld)
 
 
-def random_field(rng, grid, K, xi0, h2_norm, n_y_modes=4, decay=0.6):
+def random_field(rng, grid, K, xi0, h2_norm):
     """Smooth random clamped field with prescribed H^2 norm.
 
-    Mode shapes are (1 - y^2)^2 times low-order polynomials, so every mode
-    is clamped exactly; coefficients decay geometrically in |k|.
+    Mode shapes are (1 - y^2)^2 times the monomials y^0..y^3, so every mode
+    is clamped exactly; coefficients decay as 0.6^|k|.
     """
     y = grid.nodes
     env = (1.0 - y**2) ** 2
-    shapes = np.array([env * y**j for j in range(n_y_modes)])
+    shapes = np.array([env * y**j for j in range(4)])
     psi = np.zeros((2 * K + 1, grid.N + 1), dtype=complex)
     for k in range(K + 1):
-        c = rng.normal(size=n_y_modes) + (1j * rng.normal(size=n_y_modes) if k else 0.0)
-        vals = (c * decay**k) @ shapes
+        c = rng.normal(size=4) + (1j * rng.normal(size=4) if k else 0.0)
+        vals = (c * 0.6**k) @ shapes
         psi[K + k] = vals
         psi[K - k] = np.conj(vals)
     fld = ChannelField(xi0, K, grid, psi)

@@ -292,16 +292,18 @@ def cmd_solve_linear(args):
     return write_json(args, results, path=base)
 
 
+def _measured_ball(p, grid, args):
+    """(kappa0, c1, delta): measured constants and the ball radius they give."""
+    k0 = measure_kappa0(p, grid, args.K, args.xi0, n_samples=8, seed=args.seed)
+    c1 = measure_c1(grid, args.K, args.xi0, n_pairs=8, seed=args.seed + 1)
+    return k0, c1, contraction_ball_radius(k0, c1)
+
+
 def cmd_solve_nonlinear(args):
     p = resolve_profile(args)
     grid = build_grid(args.N)
     force = _force_from_args(args, grid)
-    if args.delta is None:
-        k0 = measure_kappa0(p, grid, args.K, args.xi0, n_samples=8, seed=args.seed)
-        c1 = measure_c1(grid, args.K, args.xi0, n_pairs=8, seed=args.seed + 1)
-        delta = contraction_ball_radius(k0, c1)
-    else:
-        delta = args.delta
+    delta = _measured_ball(p, grid, args)[2] if args.delta is None else args.delta
     cfg = PicardConfig(delta=delta, tol=args.tol, max_iter=args.max_iter, symmetry_class=args.symmetry)
     fld, trace = picard_solve(p, force, cfg, grid, args.K, args.xi0)
     grad = recover_pressure_gradient(p, fld, force, nonlinear_modes=advection_modes(fld, fld))
@@ -377,9 +379,8 @@ def cmd_neutral_search(args):
     return write_json(args, results)
 
 
-def _estimate_battery(p, args):
-    grid = build_grid(args.N)
-    rng = np.random.default_rng(args.seed)
+def _estimate_battery(p, grid, seed):
+    rng = np.random.default_rng(seed)
     checks = {}
     # Poincare equality case and lower bound
     sig = GridFunction.from_callable(grid, lambda y: np.cos(np.pi * y / 2.0))
@@ -431,7 +432,7 @@ def cmd_verify_estimates(args):
     p = resolve_profile(args)
     if not check_admissibility(p).satisfies_abc:
         raise ConfigError("verify-estimates needs an admissible profile")
-    checks = _estimate_battery(p, args)
+    checks = _estimate_battery(p, build_grid(args.N), args.seed)
     flags = [v for v in checks.values() if isinstance(v, (bool, np.bool_))]
     all_green = all(flags)
     results = {"numerics": {"N": args.N}, "profile": p.to_dict(), "checks": checks,
@@ -487,12 +488,10 @@ BASELINE_TOLERANCES = {
 def measure_baseline(args, p):
     """Measured constants at reduced, deterministic numerics."""
     grid = build_grid(args.N)
-    k0 = measure_kappa0(p, grid, args.K, args.xi0, n_samples=8, seed=args.seed)
-    c1 = measure_c1(grid, args.K, args.xi0, n_pairs=8, seed=args.seed + 1)
-    delta = contraction_ball_radius(k0, c1)
+    k0, c1, delta = _measured_ball(p, grid, args)
     ratio = measure_contraction(p, None, delta, grid, args.K, args.xi0,
                                 n_pairs=8, seed=args.seed + 2)
-    checks = _estimate_battery(p, args)
+    checks = _estimate_battery(p, grid, args.seed)
     npt = neutral_search((0.9, 1.15), (5600.0, 6000.0), tol=1e-3, N=96, N_check=144,
                          T_tol=1e-4, agreement_rtol=5e-3)
     return {

@@ -16,9 +16,9 @@ import numpy as np
 from .channel import (
     ForceField,
     LinearizedChannelSolver,
+    _cell_l2sq,
     analyze,
     field_h_norm,
-    n_x_points,
     random_field,
     recover_pressure_gradient,
     symmetry_project,
@@ -120,13 +120,8 @@ def nonlinear_residual(p, fld, force, floor=1e-300):
     f_modes, g_modes = force.modes()
     rhs = ikx * g_modes - f_modes @ grid.D1.T
     res = linear + nl_modes - rhs
-    period = 2.0 * math.pi / xi0
-
-    def cell_norm(modes):
-        return math.sqrt(period * float((np.abs(modes) ** 2 @ grid.quad_weights).sum()))
-
-    scale = max(cell_norm(rhs), cell_norm(lap2), floor)
-    return cell_norm(res) / scale
+    res_n, rhs_n, lap2_n = (math.sqrt(_cell_l2sq(m, xi0, grid)) for m in (res, rhs, lap2))
+    return res_n / max(rhs_n, lap2_n, floor)
 
 
 class NonlinearChannelSolver:
@@ -269,17 +264,19 @@ def uniqueness_probe(p, n_starts, delta, grid, K, xi0, tol=None, seed=0):
     return True
 
 
-def random_force(rng, grid, K, xi0, amplitude, n_y_modes=5, decay=0.5):
-    """Smooth random force with modes confined to |k| <= K (tail-free)."""
+def random_force(rng, grid, K, xi0, amplitude):
+    """Smooth random force with modes confined to |k| <= K (tail-free).
+
+    Each component's modes are y^0..y^4 with coefficients decaying as 0.5^|k|.
+    """
     y = grid.nodes
-    shapes = np.array([y**j for j in range(n_y_modes)])
-    Mx = n_x_points(K)
+    shapes = np.array([y**j for j in range(5)])
 
     def component():
         modes = np.zeros((2 * K + 1, grid.N + 1), dtype=complex)
         for k in range(K + 1):
-            c = rng.normal(size=n_y_modes) + (1j * rng.normal(size=n_y_modes) if k else 0.0)
-            vals = (c * decay**k) @ shapes
+            c = rng.normal(size=5) + (1j * rng.normal(size=5) if k else 0.0)
+            vals = (c * 0.5**k) @ shapes
             modes[K + k] = vals
             modes[K - k] = np.conj(vals)
         return synthesize(modes, xi0, K)

@@ -8,7 +8,7 @@ For a base profile F and wavenumber xi != 0 the mode equation is
 
 i.e. the stationary (eigenvalue-zero) Orr-Sommerfeld operator driven by a
 source.  The xi = 0 reduction phi'''' = h with the same clamped conditions
-covers the mean mode of the channel synthesis.
+covers the mean mode of the channel synthesis; it takes no profile.
 
 Fourier convention: modes enter through the transform integral with kernel
 exp(-i xi x); the inverse carries the kernel exp(+i xi x) and the 1/(2 pi)
@@ -43,17 +43,18 @@ __all__ = [
     "solve_os_zero_mode",
     "apriori_ratio",
     "sigma_diagnostics",
-    "os_rhs_from_force",
 ]
+
+RCOND_FLOOR = 1e-14
 
 
 def os_operator_matrix(p, xi, grid):
     """Dense collocation matrix of the mode operator (no boundary rows)."""
     N = grid.N
     I = np.eye(N + 1)
-    F = p.F(grid.nodes)
     L = grid.D4 - 2.0 * xi**2 * grid.D2 + xi**4 * I
     if xi != 0.0:
+        F = p.F(grid.nodes)
         L = L - 1j * xi * (F[:, None] * (grid.D2 - xi**2 * I) - 6.0 * p.A * I)
     return L
 
@@ -102,15 +103,13 @@ class SigmaDiagnostics:
 class OSModeOperator:
     """Factorized clamped mode operator, reusable across right-hand sides.
 
-    ``xi = 0`` builds the plain fourth-derivative reduction.
+    ``xi = 0`` builds the plain fourth-derivative reduction, which takes
+    no profile (``p`` may be None).
     """
 
-    # interior collocation rows actually imposed (walls host the BCs)
-    def __init__(self, p, xi, grid, rcond_floor=1e-14):
-        self.p = p
+    def __init__(self, p, xi, grid):
         self.xi = float(xi)
         self.grid = grid
-        self.rcond_floor = rcond_floor
         self._L = os_operator_matrix(p, xi, grid)
         A = bordered_system(self._L, grid)
         scale = np.abs(A).max(axis=1)
@@ -121,7 +120,7 @@ class OSModeOperator:
         self._lu = sla.lu_factor(As, check_finite=False)
         anorm = np.abs(As).sum(axis=0).max()
         self.rcond, info = lapack.zgecon(self._lu[0], anorm, norm="1")
-        if info != 0 or not np.isfinite(self.rcond) or self.rcond < rcond_floor:
+        if info != 0 or not np.isfinite(self.rcond) or self.rcond < RCOND_FLOOR:
             raise NearSingularSystemError(
                 f"mode system at xi={xi} is numerically singular "
                 f"(rcond={self.rcond:.3e})",
@@ -136,7 +135,7 @@ class OSModeOperator:
         """Solve for the given source and package diagnostics."""
         g = self.grid
         N = g.N
-        hv = h.values if isinstance(h, GridFunction) else np.asarray(h, dtype=complex)
+        hv = h.values
         if hv.shape != (N + 1,):
             raise DomainError("source length does not match the grid")
         rhs = hv.copy()
@@ -167,26 +166,16 @@ class OSModeOperator:
         )
 
 
-def solve_os_mode(p, xi, h, grid, rcond_floor=1e-14):
+def solve_os_mode(p, xi, h, grid):
     """One-shot solve of the mode problem at wavenumber xi != 0."""
     if xi == 0.0:
         raise DomainError("xi must be nonzero; use solve_os_zero_mode")
-    return OSModeOperator(p, xi, grid, rcond_floor=rcond_floor).solve(h)
+    return OSModeOperator(p, xi, grid).solve(h)
 
 
-class _ZeroModeProfile:
-    """Stand-in profile for the xi = 0 reduction (coefficients unused)."""
-
-    A = 0.0
-
-    @staticmethod
-    def F(y):
-        return np.zeros_like(np.asarray(y, dtype=float))
-
-
-def solve_os_zero_mode(h, grid, rcond_floor=1e-14):
+def solve_os_zero_mode(h, grid):
     """Solve phi'''' = h with clamped boundary conditions."""
-    return OSModeOperator(_ZeroModeProfile(), 0.0, grid, rcond_floor=rcond_floor).solve(h)
+    return OSModeOperator(None, 0.0, grid).solve(h)
 
 
 def apriori_ratio(sol, h):
@@ -200,18 +189,16 @@ def apriori_ratio(sol, h):
     xi^4 |phi|^2.  Both stay bounded by one profile-dependent constant
     over all xi; zero source returns (0, 0).
     """
-    g = sol.grid
-    hv = h.values if isinstance(h, GridFunction) else np.asarray(h, dtype=complex)
-    l2 = g.l2_norm(hv)
+    l2 = h.l2_norm()
     if l2 == 0.0:
         return 0.0, 0.0
-    hm1 = h_minus1_norm(GridFunction(g, hv))
+    hm1 = h_minus1_norm(h)
     r_h = sol.lhs_energy / hm1**2
     r_l2 = sol.lhs_energy * sol.xi**2 / l2**2
     return float(r_h), float(r_l2)
 
 
-def sigma_values(phi, dphi, p, grid, rel_tol=1e-9):
+def sigma_values(phi, dphi, p, grid):
     """Pointwise sigma = phi / F with the wall limit for simple zeros of F.
 
     Where F vanishes at a wall (at most a simple zero under the
@@ -220,16 +207,16 @@ def sigma_values(phi, dphi, p, grid, rel_tol=1e-9):
     for admissible nonzero coefficients and raises.
     """
     F = p.F(grid.nodes)
-    scale = np.abs(F).max()
+    tiny = 1e-9 * np.abs(F).max()  # |F| or |F'| at a wall below this counts as zero
     sigma = np.empty_like(np.asarray(phi, dtype=complex))
     interior = slice(1, grid.N)
     sigma[interior] = phi[interior] / F[interior]
     for idx, ypt in ((0, 1.0), (grid.N, -1.0)):
-        if abs(F[idx]) > rel_tol * scale:
+        if abs(F[idx]) > tiny:
             sigma[idx] = phi[idx] / F[idx]
         else:
             fp = p.Fp(ypt)
-            if abs(fp) <= rel_tol * scale:
+            if abs(fp) <= tiny:
                 raise DomainError(
                     f"F and F' both vanish at y={ypt:+.0f}; sigma undefined"
                 )
@@ -284,9 +271,3 @@ def sigma_diagnostics(sol, p):
         energy_lhs=float(energy),
     )
 
-
-def os_rhs_from_force(f_mode, g_mode, xi, grid):
-    """Right-hand side i xi g - f' fed to the mode solve by the channel layer."""
-    fv = f_mode.values if isinstance(f_mode, GridFunction) else np.asarray(f_mode, dtype=complex)
-    gv = g_mode.values if isinstance(g_mode, GridFunction) else np.asarray(g_mode, dtype=complex)
-    return GridFunction(grid, 1j * xi * gv - grid.D1 @ fv)

@@ -96,11 +96,6 @@ class SpectralGrid:
     quad_weights: np.ndarray
     _dirichlet_lu: tuple = field(default=None, repr=False, compare=False)
 
-    @property
-    def interior(self):
-        """Slice selecting the interior nodes (both walls excluded)."""
-        return slice(1, self.N)
-
     def quad(self, values):
         """Integral of ``values`` over [-1, 1]."""
         return self.quad_weights @ values
@@ -153,17 +148,8 @@ class GridFunction:
         return self.grid.l2_norm(self.values)
 
 
-def _coerce(f, grid=None):
-    if isinstance(f, GridFunction):
-        return f
-    if grid is None:
-        raise DomainError("plain arrays need an explicit grid")
-    return GridFunction(grid, np.asarray(f, dtype=complex))
-
-
-def sobolev_norm(f, m, grid=None):
+def sobolev_norm(f, m):
     """H^m norm (sum over derivative orders 0..m) by quadrature."""
-    f = _coerce(f, grid)
     if not 0 <= m <= 3:
         raise DomainError(f"derivative order must lie in 0..3, got {m}")
     g = f.grid
@@ -174,13 +160,12 @@ def sobolev_norm(f, m, grid=None):
     return float(np.sqrt(total))
 
 
-def h_minus1_norm(h, grid=None):
+def h_minus1_norm(h):
     """Dual-space norm of h against the zero-boundary H^1 functions.
 
     Solves -u'' = h with u(+-1) = 0 and returns the L^2 norm of u'; this
     realizes the dual norm through the Riesz representative.
     """
-    h = _coerce(h, grid)
     g = h.grid
     rhs = h.values.copy()
     rhs[0] = 0.0
@@ -189,13 +174,12 @@ def h_minus1_norm(h, grid=None):
     return g.l2_norm(g.D1 @ u)
 
 
-def poincare_ratio(f, grid=None):
+def poincare_ratio(f):
     """Rayleigh quotient int|f'|^2 / int|f|^2 for endpoint-zero f.
 
     For f vanishing at y = +-1 the ratio is bounded below by pi^2/4, with
     equality at f = cos(pi*y/2).
     """
-    f = _coerce(f, grid)
     g = f.grid
     num = g.quad(np.abs(g.D1 @ f.values) ** 2).real
     den = g.quad(np.abs(f.values) ** 2).real

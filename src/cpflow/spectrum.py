@@ -40,6 +40,7 @@ import scipy.linalg as sla
 from .errors import BracketError, DomainError, NeutralToleranceError, ResolutionError
 from .os_solver import bordered_system, os_operator_matrix
 from .profiles import Profile, check_admissibility
+from .spectral import build_grid, chebyshev_nodes, clenshaw_curtis_weights
 
 __all__ = [
     "SpectrumResult",
@@ -79,15 +80,10 @@ def _clamped_blocks(N):
     Also returns, even then odd, each y-parity's basis Q of the interior
     nodes with the folded blocks Q^T D2 Q, Q^T P4 Q and its nodes.  The
     fold needs the interior operators centrosymmetric, which is checked
-    here, once per N.
+    here, once per N.  The full grid's nodes, D1 and D2 come last.
     """
-    from .spectral import chebyshev_diff, chebyshev_nodes
-
-    y = chebyshev_nodes(N)
-    D = chebyshev_diff(N)
-    D2 = D @ D
-    D3 = D @ D2
-    D4 = D @ D3
+    grid = build_grid(N)
+    y, D2, D3, D4 = grid.nodes, grid.D2, grid.D3, grid.D4
     s = np.zeros(N + 1)
     s[1:N] = 1.0 / (1.0 - y[1:N] ** 2)
     # phi = (1 - y^2) p with p(+-1) = 0: phi'''' = (1-y^2) p'''' - 8 y p''' - 12 p''
@@ -101,7 +97,7 @@ def _clamped_blocks(N):
             raise ResolutionError(f"interior operators at N={N} are not reflection-symmetric")
     parity = tuple((Q, Q.T @ D2i @ Q, Q.T @ P4i @ Q, y_int[: Q.shape[1]])
                    for Q in _parity_bases(N - 1))
-    return y_int, D2i, P4i, parity, y.copy(), D, D2
+    return y_int, D2i, P4i, parity, y, grid.D1, D2
 
 
 def _assemble(D2, P4, y, A, T):
@@ -255,7 +251,7 @@ def os_spectrum(A, T, grid, with_vectors=True):
     )
 
 
-def verify_energy_identity(A, T, eigfun, lam, weights=None, N=None):
+def verify_energy_identity(A, T, eigfun, lam):
     """Residual of the integrated eigen-identity for a computed pair.
 
     Testing the equation against the conjugate mode and integrating by
@@ -272,9 +268,7 @@ def verify_energy_identity(A, T, eigfun, lam, weights=None, N=None):
         raise DomainError("pass the (phi, phi', phi'') triple from eigenfunction()")
     phi, dphi, d2phi = eigfun
     n = len(phi) - 1
-    from .spectral import chebyshev_nodes, clenshaw_curtis_weights
-
-    w = clenshaw_curtis_weights(n) if weights is None else weights
+    w = clenshaw_curtis_weights(n)
     y = chebyshev_nodes(n)
     i0 = np.sum(w * np.abs(phi) ** 2)
     i1 = np.sum(w * np.abs(dphi) ** 2)

@@ -24,7 +24,7 @@ from cpflow.channel import (
 )
 from cpflow.errors import DomainError, InadmissibleProfileError, ResolutionError
 from cpflow.nonlinear import random_force
-from cpflow.os_solver import OSModeOperator, os_rhs_from_force, solve_os_zero_mode
+from cpflow.os_solver import OSModeOperator, sigma_values, solve_os_zero_mode
 from cpflow.profiles import Profile, poiseuille_for_flux
 from cpflow.spectral import GridFunction, build_grid
 from manufactured import ModePoly, linearized_force
@@ -116,6 +116,15 @@ class TestLinearizedSolve:
         with pytest.raises(ResolutionError):
             LinearizedChannelSolver(POISEUILLE, grid48, K, 1.0).solve(force)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("component", ["f", "g"])
+    def test_non_finite_force_rejected(self, grid32, component, bad):
+        # one bad sample would otherwise solve to a NaN field with residual_rel 0.0
+        samples = {c: np.zeros((n_x_points(4), grid32.N + 1)) for c in "fg"}
+        samples[component][3, 5] = bad
+        with pytest.raises(DomainError):
+            ForceField(1.0, 4, grid32, samples["f"], samples["g"])
+
     def test_mean_pressure_gradient_constant(self, grid48):
         # k = 0 slot: qx mode 0 must come out y-independent
         force = ForceField.from_callables(
@@ -142,7 +151,7 @@ class TestBatchedSolve:
         h0 = GridFunction(grid, -(grid.D1 @ f_modes[K].real))
         refs = [(0, solve_os_zero_mode(h0, grid))]
         for k in range(1, K + 1):
-            h = os_rhs_from_force(f_modes[K + k], g_modes[K + k], k * xi0, grid)
+            h = GridFunction(grid, 1j * k * xi0 * g_modes[K + k] - grid.D1 @ f_modes[K + k])
             refs.append((k, OSModeOperator(p, k * xi0, grid).solve(h)))
         for k, ref in refs:
             want = ref.phi.values
@@ -332,7 +341,64 @@ class TestXNormProduct:
                 assert abs(x_norm(fld, m) - want) <= 1e-13 * want
 
 
+def centered_window(dk, xi0, L, period):
+    """Integral of exp(i dk xi0 x) over (-L, L), saturating at one cell."""
+    if 2.0 * L >= period:
+        return period if dk == 0 else 0.0
+    if dk == 0:
+        return 2.0 * L
+    arg = dk * xi0
+    return 2.0 * np.sin(arg * L) / arg
+
+
+def centered_quadratic(mode_sets, xi0, K, grid, L, weight=None):
+    """Reference windowed quadratic over (-L, L): one Gram sum per mode set."""
+    period = 2.0 * np.pi / xi0
+    w = grid.quad_weights if weight is None else grid.quad_weights * weight
+    n = 2 * K + 1
+    kk = np.arange(-K, K + 1)
+    dk_mat = kk[:, None] - kk[None, :]
+    lam = np.array([centered_window(dk, xi0, L, period) for dk in range(-(n - 1), n)])
+    lam_mat = lam[dk_mat + (n - 1)]
+    total = 0.0
+    for arr in mode_sets:
+        G = (arr * w[None, :]) @ np.conj(arr).T
+        total += float(np.real(np.sum(G * lam_mat)))
+    return total
+
+
+def loop_gamma_energy(p, fld, L):
+    """Reference (Gamma(L), control value) from the centred-window quadratic."""
+    grid, K, xi0 = fld.grid, fld.K, fld.xi0
+    F = p.F(grid.nodes)
+    dpsi = fld.psi_modes @ grid.D1.T
+    sigma = np.array([sigma_values(fld.psi_modes[j], dpsi[j], p, grid) for j in range(2 * K + 1)])
+    ikx = (1j * xi0 * np.arange(-K, K + 1))[:, None]
+    sx, sy, syy = ikx * sigma, sigma @ grid.D1.T, sigma @ grid.D2.T
+    sxx, sxy = ikx**2 * sigma, ikx * sy
+    pxx, pxy, pyy = ikx * (ikx * fld.psi_modes), ikx * dpsi, fld.psi_modes @ grid.D2.T
+
+    def q(sets, weight=None):
+        return centered_quadratic(sets, xi0, K, grid, L, weight)
+
+    gamma = (-6.0 * p.A * q([sx]) - 12.0 * p.A * q([sy])
+             + q([sxx], F) + 2.0 * q([sxy], F) + q([syy], F))
+    return gamma, q([sy, sx, pxx, pyy]) + 2.0 * q([pxy])
+
+
 class TestGammaEnergy:
+    @pytest.mark.parametrize("xi0", [1.0, 0.7])
+    @pytest.mark.parametrize("p", [POISEUILLE, Profile(-0.7, 0.3, 3.0)], ids=["poiseuille", "skewed"])
+    def test_matches_loop_reference(self, grid32, p, xi0):
+        # below, at (xi0 = 1: L = pi) and above saturation at half a cell
+        Ls = [0.5, 1.0, 2.0, np.pi, 10.0, 20.0]
+        fld = random_field(np.random.default_rng(8), grid32, 6, xi0, 1.0)
+        rep = gamma_energy(p, fld, Ls)
+        for L in Ls:
+            g_ref, c_ref = loop_gamma_energy(p, fld, L)
+            assert abs(rep.gamma_L[L] - g_ref) <= 1e-13 * g_ref
+            assert abs(rep.gamma_control[L] - c_ref) <= 1e-13 * c_ref
+
     def test_zero_field(self, grid32):
         rep = gamma_energy(POISEUILLE, ChannelField.zero(1.0, 4, grid32), [1.0, 2.0])
         assert rep.gamma_L == {1.0: 0.0, 2.0: 0.0}

@@ -6,7 +6,6 @@ from cpflow.errors import DomainError, InadmissibleProfileError, NearSingularSys
 from cpflow.os_solver import (
     OSModeOperator,
     apriori_ratio,
-    os_rhs_from_force,
     sigma_diagnostics,
     solve_os_mode,
     solve_os_zero_mode,
@@ -212,12 +211,3 @@ class TestSigmaDiagnostics:
             )
             worst = max(worst, rhs / d.energy_lhs)
         assert worst <= 20.0
-
-
-class TestRhsBuilder:
-    def test_matches_definition(self, grid48, rng):
-        f = rng.normal(size=grid48.N + 1) + 1j * rng.normal(size=grid48.N + 1)
-        g_ = rng.normal(size=grid48.N + 1)
-        out = os_rhs_from_force(f, g_, 2.0, grid48)
-        expected = 2.0j * g_ - grid48.D1 @ f
-        assert np.abs(out.values - expected).max() == 0.0
