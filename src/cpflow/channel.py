@@ -16,6 +16,7 @@ assumed.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -119,7 +120,7 @@ class ForceField:
         (fm, gm), tails = analyze(np.stack([self.f, self.g]), self.K)
         tail = float(tails.max())
         scale = max(np.abs(self.f).max(initial=0.0), np.abs(self.g).max(initial=0.0))
-        if scale > 0.0 and tail > FORCE_TAIL_TOL:
+        if scale > 0.0 and not tail <= FORCE_TAIL_TOL:  # a NaN tail fails too
             raise ResolutionError(
                 f"force not resolved by modes |k| <= {self.K}: "
                 f"tail energy fraction {tail:.3e}"
@@ -136,19 +137,26 @@ class ForceField:
 
 @dataclass(frozen=True)
 class ChannelField:
-    """Perturbation state: stream-function coefficients on the cell."""
+    """Perturbation state: stream-function coefficients (finite) on the cell."""
 
     xi0: float
     K: int
     grid: object
     psi_modes: np.ndarray  # (2K+1, N+1), row j holds mode k = j - K
-    solve_info: dict = field(default=None, compare=False, repr=False)
+    _solve_info: object = field(default=None, compare=False, repr=False)  # callable
 
     def __post_init__(self):
         pm = np.asarray(self.psi_modes, dtype=complex)
         if pm.shape != (2 * self.K + 1, self.grid.N + 1):
             raise DomainError("psi_modes shape does not match (2K+1, N+1)")
+        if not np.isfinite(pm).all():
+            raise DomainError("psi_modes must be finite")
         object.__setattr__(self, "psi_modes", pm)
+
+    @cached_property
+    def solve_info(self):
+        """Diagnostics dict of the solve that made the field, built on first read."""
+        return None if self._solve_info is None else self._solve_info()
 
     # --- mode access -------------------------------------------------
     def mode(self, k):
@@ -193,15 +201,15 @@ class ChannelField:
         """Field translated by dx in x (mode-wise phase factors)."""
         ks = np.arange(-self.K, self.K + 1)
         phase = np.exp(-1j * self.xi0 * ks * dx)
-        return replace(self, psi_modes=self.psi_modes * phase[:, None], solve_info=None)
+        return replace(self, psi_modes=self.psi_modes * phase[:, None], _solve_info=None)
 
     def scaled(self, alpha):
-        return replace(self, psi_modes=self.psi_modes * alpha, solve_info=None)
+        return replace(self, psi_modes=self.psi_modes * alpha, _solve_info=None)
 
     def minus(self, other):
         if (other.K, other.xi0) != (self.K, self.xi0):
             raise DomainError("field layouts differ")
-        return replace(self, psi_modes=self.psi_modes - other.psi_modes, solve_info=None)
+        return replace(self, psi_modes=self.psi_modes - other.psi_modes, _solve_info=None)
 
     @classmethod
     def zero(cls, xi0, K, grid):
@@ -230,30 +238,26 @@ def _cell_l2sq(modes, xi0, grid):
     return period * float((np.abs(modes) ** 2 @ grid.quad_weights).sum().real)
 
 
-def field_h_norm(fld, m):
-    """H^m norm of the velocity field (v, w) over the periodic cell.
-
-    Mode k of d_x^a d_y^b u has squared norm kappa^(2a) ||D_b u_k||^2 with
-    kappa = k xi0, so y-derivative order b carries the weight
-    c_b = sum_{a <= m - b} kappa^(2a); and w = -i kappa psi gives
-    ||D_b w_k||^2 = kappa^2 ||D_b psi_k||^2.  The y-derivatives of psi and
-    of v = D1 psi come from two stacked products on the real and imaginary
-    parts.
-    """
-    if not 0 <= m <= 2:
-        raise DomainError("field Sobolev order limited to 0..2")
-    grid, n, nk, pm = fld.grid, fld.grid.N + 1, 2 * fld.K + 1, fld.psi_modes
+def _y_stack(fld):
+    """y-derivatives as real products: X = [Re psi; Im psi], R1 = X [D1^T | D2^T] =
+    [D1 psi | D2 psi], R2 = R1[:, :n] [D1^T | D2^T] = [D1 v | D2 v], v = D1 psi."""
+    grid, n, pm = fld.grid, fld.grid.N + 1, fld.psi_modes
     dy = np.concatenate([grid.D1.T, grid.D2.T], axis=1)
     X = np.concatenate([pm.real, pm.imag])
-    R1 = X @ dy  # [D1 psi | D2 psi]
-    R2 = R1[:, :n] @ dy  # [D1 v | D2 v]
+    R1 = X @ dy
+    return X, R1, R1[:, :n] @ dy
+
+
+def _stack_h_norm(stack, fld, m):
+    """``field_h_norm`` from a y-derivative stack laid out like ``fld``."""
+    grid, n, nk = fld.grid, fld.grid.N + 1, 2 * fld.K + 1
 
     def sq(A):  # quadrature-weighted squares per block and mode
         A = A.reshape(len(A), -1, n)
         s = np.einsum("ijk,ijk,k->ji", A, A, grid.quad_weights)
         return s[:, :nk] + s[:, nk:]
 
-    (psi,), (psi_y, psi_yy), (v_y, v_yy) = sq(X), sq(R1), sq(R2)
+    (psi,), (psi_y, psi_yy), (v_y, v_yy) = (sq(A) for A in stack)
     kappa2 = (fld.xi0 * np.arange(-fld.K, fld.K + 1)) ** 2
     v_sq, psi_sq = (psi_y, v_y, v_yy), (psi, psi_y, psi_yy)
     total = 0.0
@@ -261,6 +265,21 @@ def field_h_norm(fld, m):
         c_b = sum(kappa2**a for a in range(m - b + 1))
         total += float(c_b @ (v_sq[b] + kappa2 * psi_sq[b]))
     return math.sqrt(2.0 * math.pi / fld.xi0 * total)
+
+
+def field_h_norm(fld, m):
+    """H^m norm of the velocity field (v, w) over the periodic cell.
+
+    Mode k of d_x^a d_y^b u has squared norm kappa^(2a) ||D_b u_k||^2 with
+    kappa = k xi0, so y-derivative order b carries the weight
+    c_b = sum_{a <= m - b} kappa^(2a); and w = -i kappa psi gives
+    ||D_b w_k||^2 = kappa^2 ||D_b psi_k||^2.  The y-derivatives of psi and
+    of v = D1 psi come from ``_y_stack``, which the Picard loop forms once
+    per iterate for this norm, the increment and the next advection.
+    """
+    if not 0 <= m <= 2:
+        raise DomainError("field Sobolev order limited to 0..2")
+    return _stack_h_norm(_y_stack(fld), fld, m)
 
 
 class LinearizedChannelSolver:
@@ -292,8 +311,8 @@ class LinearizedChannelSolver:
             self._rcond.append(float(op.rcond))
 
     def solve_modes(self, f_modes, g_modes):
-        """Solve from per-mode force coefficients (layout k = -K..K)."""
-        K, grid, N = self.K, self.grid, self.grid.N
+        """Solve from force modes (layout k = -K..K); ``solve_info`` is built on first read."""
+        K, grid, N, p, rcond = self.K, self.grid, self.grid.N, self.p, self._rcond
         h0 = -(grid.D1 @ f_modes[K].real)
         sol0 = solve_os_zero_mode(GridFunction(grid, h0), grid)
         xi = self._xi[:, None]
@@ -301,21 +320,24 @@ class LinearizedChannelSolver:
         b = h.copy()
         b[:, [0, 1, N - 1, N]] = 0.0  # boundary rows of the bordered system
         phi = np.matmul(self._inv, b[..., None])[..., 0]
-        # interior rows of L phi - h, L as in ``os_operator_matrix``
-        d2 = phi @ grid.D2.T
-        res = (phi @ grid.D4.T - 2.0 * xi**2 * d2 + xi**4 * phi - h
-               - 1j * xi * (self.p.F(grid.nodes) * (d2 - xi**2 * phi) - 6.0 * self.p.A * phi))
-        w = grid.quad_weights
-        res_sq = np.abs(res[:, 2 : N - 1]) ** 2 @ w[2 : N - 1]
-        total_res = sol0.residual_norm**2 + 2.0 * res_sq.sum()
-        total_rhs = grid.l2_norm(h0) ** 2 + 2.0 * (np.abs(h) ** 2 @ w).sum()
+
+        def info():  # holds no reference to the solver and its inverses
+            # interior rows of L phi - h, L as in ``os_operator_matrix``
+            d2 = phi @ grid.D2.T
+            res = (phi @ grid.D4.T - 2.0 * xi**2 * d2 + xi**4 * phi - h
+                   - 1j * xi * (p.F(grid.nodes) * (d2 - xi**2 * phi) - 6.0 * p.A * phi))
+            w = grid.quad_weights
+            res_sq = np.abs(res[:, 2 : N - 1]) ** 2 @ w[2 : N - 1]
+            total_res = sol0.residual_norm**2 + 2.0 * res_sq.sum()
+            total_rhs = grid.l2_norm(h0) ** 2 + 2.0 * (np.abs(h) ** 2 @ w).sum()
+            return {
+                "residual_rel": math.sqrt(total_res / total_rhs) if total_rhs > 0.0 else 0.0,
+                "mode_residuals": [sol0.residual_norm] + np.sqrt(res_sq).tolist(),
+                "mode_rcond": [sol0.rcond] + rcond,
+            }
+
         psi = np.concatenate([np.conj(phi[::-1]), sol0.phi.values.real[None], phi])
-        info = {
-            "residual_rel": math.sqrt(total_res / total_rhs) if total_rhs > 0.0 else 0.0,
-            "mode_residuals": [sol0.residual_norm] + np.sqrt(res_sq).tolist(),
-            "mode_rcond": [sol0.rcond] + self._rcond,
-        }
-        return ChannelField(self.xi0, K, grid, psi, solve_info=info)
+        return ChannelField(self.xi0, K, grid, psi, _solve_info=info)
 
     def solve(self, force):
         f_modes, g_modes = force.modes()
@@ -515,7 +537,7 @@ def symmetry_project(fld, cls):
     else:
         flipped = pm[:, ::-1]  # y -> -y (nodes are symmetric)
         new = 0.5 * (pm - flipped) if cls == "Y1" else 0.5 * (pm + flipped)
-    return replace(fld, psi_modes=new, solve_info=None)
+    return replace(fld, psi_modes=new, _solve_info=None)
 
 
 def stream_cross_integrals(p, fld):

@@ -182,6 +182,13 @@ def resolve_profile(args):
 
 
 def _check_numerics(args):
+    for name, v in sorted(vars(args).items()):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"numerics value {name} must be finite, got {v}")
+    names = ("xi", "T", "T_min", "T_max")
+    wave = max(abs(args.K * args.xi0), *(abs(getattr(args, n, 0.0)) for n in names))
+    if wave > sys.float_info.max**0.25:  # the mode operators take xi^4
+        raise ConfigError(f"wavenumber {wave} overflows at the fourth power")
     for name in ("N", "K", "xi0", "tol", "max_iter"):
         v = getattr(args, name, None)
         if v is not None and v <= 0:
@@ -217,9 +224,13 @@ def _payload(args, results):
 
 def write_json(args, results, path=None):
     path = output_path(args) if path is None else path
+    try:
+        text = json.dumps(_payload(args, results), indent=2, sort_keys=True, default=_tolist,
+                          allow_nan=False)
+    except ValueError as exc:  # NaN or inf in the results
+        raise CpflowError(f"non-finite result, not written: {exc}") from exc
     with open(path, "w") as fh:
-        json.dump(_payload(args, results), fh, indent=2, sort_keys=True, default=_tolist)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -463,6 +474,8 @@ def cmd_symmetry_check(args):
         fld = ChannelField(args.xi0, K, grid, psi)
         i1, i2 = check_symmetry_cancellation(p, fld)
         scale = field_h_norm(fld, 2) ** 2 + 1e-300
+        if not all(map(math.isfinite, (i1, i2, scale))):
+            raise CpflowError(f"non-finite cancellation integrals ({i1}, {i2}) or scale {scale}")
         worst = max(worst, abs(i1) / scale, abs(i2) / scale)
     results = {"numerics": {"N": args.N, "K": K, "xi0": args.xi0},
                "profile": p.to_dict(), "worst_cancellation": worst,

@@ -17,6 +17,8 @@ from .channel import (
     ForceField,
     LinearizedChannelSolver,
     _cell_l2sq,
+    _stack_h_norm,
+    _y_stack,
     analyze,
     field_h_norm,
     random_field,
@@ -75,25 +77,29 @@ class PicardTrace:
     final_residual: float
 
 
-def advection_modes(fld_a, fld_b):
+def advection_modes(fld_a, fld_b, stack_b=None):
     """(a . grad) b evaluated pseudo-spectrally with alias-safe padding.
 
     The tensor grid carries 4(K+1) >= 3K + 2 points in x, so quadratic
-    products of K-band fields project exactly onto the kept modes.
+    products of K-band fields project exactly onto the kept modes.  v_b and
+    D1 v_b come from b's y-derivative stack (``stack_b`` if the caller holds
+    it), and w_y = -v_x for any field, so five transforms carry six factors.
     Returns the two component coefficient arrays in the k = -K..K layout.
     """
-    K, grid = fld_a.K, fld_a.grid
+    K, nk, n = fld_a.K, 2 * fld_a.K + 1, fld_a.grid.N + 1
     ks = np.arange(-K, K + 1)
     ikx = (1j * fld_a.xi0 * ks)[:, None]
-    vb_m, wb_m = fld_b.v_modes(), fld_b.w_modes()
+    _X, R1, R2 = _y_stack(fld_b) if stack_b is None else stack_b
+    vb_m, vby_m = (R[:nk, :n] + 1j * R[nk:, :n] for R in (R1, R2))
+    wb_m = fld_b.w_modes()
     va_m, wa_m = (vb_m, wb_m) if fld_a is fld_b else (fld_a.v_modes(), fld_a.w_modes())
-    stack = np.stack([va_m, wa_m, ikx * vb_m, vb_m @ grid.D1.T, ikx * wb_m, wb_m @ grid.D1.T])
-    va, wa, vbx, vby, wbx, wby = synthesize(stack, fld_a.xi0, K)
-    (a1_modes, a2_modes), _ = analyze(np.stack([va * vbx + wa * vby, va * wbx + wa * wby]), K)
+    stack = np.stack([va_m, wa_m, ikx * vb_m, vby_m, ikx * wb_m])
+    va, wa, vbx, vby, wbx = synthesize(stack, fld_a.xi0, K)
+    (a1_modes, a2_modes), _ = analyze(np.stack([va * vbx + wa * vby, va * wbx - wa * vbx]), K)
     return a1_modes, a2_modes
 
 
-def nonlinear_residual(p, fld, force, floor=1e-300):
+def nonlinear_residual(p, fld, force_modes, floor=1e-300):
     """Relative residual of the stationary perturbation problem.
 
     Pressure is eliminated by taking the curl of the momentum balance,
@@ -103,8 +109,9 @@ def nonlinear_residual(p, fld, force, floor=1e-300):
             + (psi_x Lap psi_y - psi_y Lap psi_x) = g_x - f_y.
 
     Mode derivatives are exact and the quadratic term is dealiased; the
-    evaluation shares no state with the LU solves of the iteration.  The
-    residual norm is divided by max(||rhs||, ||Lap^2 psi||, ``floor``).
+    evaluation shares no state with the LU solves of the iteration but takes
+    their ``force.modes()``.  The residual norm is divided by max(||rhs||,
+    ||Lap^2 psi||, ``floor``).
     """
     grid, K, xi0 = fld.grid, fld.K, fld.xi0
     F = p.F(grid.nodes)
@@ -117,7 +124,7 @@ def nonlinear_residual(p, fld, force, floor=1e-300):
     stack = np.stack([ikx * pm, pm @ grid.D1.T, ikx * lap, lap @ grid.D1.T])
     psix, psiy, lapx, lapy = synthesize(stack, xi0, K)
     nl_modes, _ = analyze(psix * lapy - psiy * lapx, K)
-    f_modes, g_modes = force.modes()
+    f_modes, g_modes = force_modes
     rhs = ikx * g_modes - f_modes @ grid.D1.T
     res = linear + nl_modes - rhs
     res_n, rhs_n, lap2_n = (math.sqrt(_cell_l2sq(m, xi0, grid)) for m in (res, rhs, lap2))
@@ -134,12 +141,12 @@ class NonlinearChannelSolver:
         self.K = K
         self.xi0 = float(xi0)
 
-    def picard_map(self, force_modes, w_fld):
-        """One application of the map: solve with source f - (w . grad) w."""
+    def picard_map(self, force_modes, w_fld, stack=None):
+        """One map application: solve with source f - (w . grad) w (``stack``: w's, if held)."""
         f_modes, g_modes = force_modes
         if w_fld is None:
             return self.linear.solve_modes(f_modes, g_modes)
-        a1, a2 = advection_modes(w_fld, w_fld)
+        a1, a2 = advection_modes(w_fld, w_fld, stack)
         return self.linear.solve_modes(f_modes - a1, g_modes - a2)
 
     def solve(self, force, cfg, w0=None):
@@ -156,6 +163,8 @@ class NonlinearChannelSolver:
         marks a residual floor and stops the loop unconverged.  Leaving the
         ball raises :class:`BallEscapeError`; three consecutive
         non-contracting increments raise :class:`NonContractionError`.
+        One y-derivative stack per iterate gives its H^2 norm, the increment
+        (a difference of stacks) and the next advection; no field keeps one.
         """
         force_modes = force.modes()
 
@@ -165,6 +174,7 @@ class NonlinearChannelSolver:
             return fld
 
         w = project(self.picard_map(force_modes, None)) if w0 is None else project(w0)
+        sw = _y_stack(w)
         iterates = []
         prev_inc = None
         failed = None  # residual of a failed check at the previous step
@@ -174,9 +184,10 @@ class NonlinearChannelSolver:
         final_residual = math.inf
         n_done = 0
         for n_done in range(1, cfg.max_iter + 1):
-            v = project(self.picard_map(force_modes, w))
-            inc = field_h_norm(v.minus(w), 2)
-            nv = field_h_norm(v, 2)
+            v = project(self.picard_map(force_modes, w, sw))
+            sv = _y_stack(v)
+            inc = _stack_h_norm([a - b for a, b in zip(sv, sw)], v, 2)
+            nv = _stack_h_norm(sv, v, 2)
             iterates.append((nv, inc))
             if nv > cfg.delta:
                 raise BallEscapeError(
@@ -193,9 +204,9 @@ class NonlinearChannelSolver:
                     raise NonContractionError(
                         f"increment ratio >= 1 for 3 consecutive steps (last {ratio:.3f})"
                     )
-            w = v
+            w, sw = v, sv
             if inc < cfg.tol:
-                final_residual = nonlinear_residual(self.p, w, force, floor=cfg.tol)
+                final_residual = nonlinear_residual(self.p, w, force_modes, floor=cfg.tol)
                 if final_residual < 10.0 * cfg.tol:
                     converged = True
                     break
@@ -204,7 +215,7 @@ class NonlinearChannelSolver:
             failed = final_residual if inc < cfg.tol else None
             prev_inc = inc
         if not converged and math.isinf(final_residual):
-            final_residual = nonlinear_residual(self.p, w, force, floor=cfg.tol)
+            final_residual = nonlinear_residual(self.p, w, force_modes, floor=cfg.tol)
         trace = PicardTrace(
             iterates=tuple(iterates),
             contraction_factor=float(factor),

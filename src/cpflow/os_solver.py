@@ -104,7 +104,8 @@ class OSModeOperator:
     """Factorized clamped mode operator, reusable across right-hand sides.
 
     ``xi = 0`` builds the plain fourth-derivative reduction, which takes
-    no profile (``p`` may be None).
+    no profile (``p`` may be None).  It is real, so it is factorized,
+    condition-estimated and, for a real source, solved in real arithmetic.
     """
 
     def __init__(self, p, xi, grid):
@@ -112,6 +113,8 @@ class OSModeOperator:
         self.grid = grid
         self._L = os_operator_matrix(p, xi, grid)
         A = bordered_system(self._L, grid)
+        if not np.iscomplexobj(self._L):
+            A = np.ascontiguousarray(A.real)
         scale = np.abs(A).max(axis=1)
         scale[scale == 0.0] = 1.0
         self._row_scale = 1.0 / scale
@@ -119,7 +122,8 @@ class OSModeOperator:
         self._A = A
         self._lu = sla.lu_factor(As, check_finite=False)
         anorm = np.abs(As).sum(axis=0).max()
-        self.rcond, info = lapack.zgecon(self._lu[0], anorm, norm="1")
+        (gecon,) = lapack.get_lapack_funcs(("gecon",), (As,))
+        self.rcond, info = gecon(self._lu[0], anorm, norm="1")
         if info != 0 or not np.isfinite(self.rcond) or self.rcond < RCOND_FLOOR:
             raise NearSingularSystemError(
                 f"mode system at xi={xi} is numerically singular "
@@ -138,6 +142,8 @@ class OSModeOperator:
         hv = h.values
         if hv.shape != (N + 1,):
             raise DomainError("source length does not match the grid")
+        if not (np.iscomplexobj(self._A) or hv.imag.any()):
+            hv = hv.real  # a real source on the real system stays real
         rhs = hv.copy()
         rhs[[0, 1, N - 1, N]] = 0.0
         x = sla.lu_solve(self._lu, rhs * self._row_scale, check_finite=False)

@@ -127,7 +127,7 @@ def build_grid(N):
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex-valued nodal data bound to a grid."""
+    """Complex-valued nodal data bound to a grid; NaN or inf samples raise."""
 
     grid: SpectralGrid
     values: np.ndarray
@@ -138,6 +138,8 @@ class GridFunction:
             raise DomainError(
                 f"values length {vals.shape} does not match grid size {self.grid.N + 1}"
             )
+        if not np.isfinite(vals).all():
+            raise DomainError("nodal values must be finite")
         object.__setattr__(self, "values", vals)
 
     @classmethod

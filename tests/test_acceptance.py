@@ -79,13 +79,6 @@ def constants(grid48):
     return k0, c1, contraction_ball_radius(k0, c1)
 
 
-@pytest.fixture(scope="module")
-def neutral_full():
-    t0 = time.time()
-    npt = neutral_search((0.8, 1.3), (5000.0, 6500.0), tol=1e-6, N=200, N_check=300)
-    return npt, time.time() - t0
-
-
 def test_criterion_01_poincare_constant(grid64):
     t0 = time.time()
     sigma = GridFunction.from_callable(grid64, lambda y: np.cos(np.pi * y / 2.0))

@@ -204,6 +204,12 @@ def loop_h_norm(fld, m):
 
 
 class TestHNorm:
+    def test_non_finite_mode_is_a_domain_error(self, grid32):
+        psi = np.zeros((9, grid32.N + 1), dtype=complex)
+        psi[5, 3] = np.inf
+        with pytest.raises(DomainError):
+            ChannelField(1.0, 4, grid32, psi)
+
     @pytest.mark.parametrize("N, K", [(48, 4), (96, 32)])
     def test_matches_loop_reference(self, N, K):
         grid, xi0 = build_grid(N), 1.3

@@ -1,5 +1,8 @@
 import json
+import math
+import warnings
 
+import numpy as np
 import pytest
 
 from cpflow import cli
@@ -307,3 +310,117 @@ class TestInputGuards:
         code = run_cli(["solve-mode", "--profile", "poiseuille", "--xi", "1", "--N", "4",
                         "--output", str(tmp_path / "x.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--A=nan", "--T=1", "--N=32"],
+        ["spectrum", "--A=-0.2", "--T=1e200", "--N=32"],
+        ["solve-mode", "--profile", "poiseuille", "--xi", "1e200"],
+        ["symmetry-check", "--profile", "poiseuille", "--xi0", "1e100"],
+        ["solve-linear", "--profile", "poiseuille", "--tol", "inf"],
+    ], ids=["nan-A", "huge-T", "huge-xi", "huge-xi0", "inf-tol"])
+    def test_non_finite_or_overflowing_flag_is_config_error(self, tmp_path, argv):
+        assert run_cli(argv + ["--output", str(tmp_path / "x.json")]) == 2
+
+    def test_symmetry_check_overflowing_scale_is_solver_error(self, tmp_path):
+        # K * xi0 = 8e70 passes the flag guard, but the H2 scale overflows
+        out = tmp_path / "x.json"
+        argv = ["symmetry-check", "--profile", "poiseuille", "--xi0", "1e70", "--output", str(out)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli(argv) == 3
+        assert not out.exists()
+
+    def test_non_finite_result_is_not_written(self, tmp_path):
+        # a zero source has no Poincare ratio (int |sigma|^2 = 0 gives inf)
+        out = tmp_path / "x.json"
+        argv = ["solve-mode", "--profile", "poiseuille", "--xi", "1", "--h", "0*y", "--output", str(out)]
+        assert run_cli(argv) == 3
+        assert not out.exists()
+
+
+def _finite(obj):
+    if isinstance(obj, dict):
+        return all(_finite(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_finite(v) for v in obj)
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
+class TestAdversarialSweep:
+    """Seeded random draws over the numeric flags and the forcing grammar.
+
+    Each flag takes an adversarial value (non-finite, overflowing, zero,
+    negative, out of range) with probability P_BAD, else an ordinary one.
+    Every draw must end in a documented exit code, and exit 0 must mean a
+    finite payload.  solve-nonlinear's ``converged`` flag is not a gate here.
+    """
+
+    P_BAD = 0.12
+    BAD_FLOATS = ("nan", "inf", "-inf", "1e400", "1e200", "-1e200", "1e100", "1e-300",
+                  "0", "-0.0", "-1", "1e6")
+    X = ("sin(x)", "cos(2*x)", "sin(3*x)")
+    Y = ("1", "y", "(1-y**2)", "y**3", "sin(pi*y)", "exp(y)")
+
+    def num(self, rng, lo, hi):
+        if rng.random() < self.P_BAD:
+            return str(rng.choice(self.BAD_FLOATS))
+        return repr(float(rng.uniform(lo, hi)))
+
+    def force(self, rng, x=True):
+        terms = []
+        for _ in range(rng.integers(1, 3)):
+            bad = rng.random() < self.P_BAD
+            c = str(rng.choice(("1e300", "-1e250", "1e-300", "0.0"))) if bad else self.num(rng, -0.05, 0.05)
+            terms.append(f"{c}*{rng.choice(self.X)}*{rng.choice(self.Y)}" if x else f"{c}*{rng.choice(self.Y)}")
+        return " + ".join(terms)
+
+    def profile(self, rng, even=False):
+        if rng.random() < 0.4:
+            return ["--profile", "poiseuille", "--flux", self.num(rng, 0.5, 6.0)]
+        if rng.random() < 0.2 and not even:
+            return ["--profile", "couette", "--shear", self.num(rng, 0.1, 3.0)]
+        return ["--A", self.num(rng, -1.5, 0.0), "--B", "0" if even else self.num(rng, -0.5, 0.5),
+                "--C", self.num(rng, 2.0, 4.0)]
+
+    def common(self, rng):
+        bad = rng.random() < self.P_BAD
+        return ["--N", str(rng.choice((-8, 0, 7) if bad else (8, 12, 16))),
+                "--K", str(rng.choice((-1, 0) if bad else (1, 2, 3))),
+                "--max-iter", str(rng.choice((-1, 0) if bad else (1, 5, 40))),
+                "--xi0", self.num(rng, 0.3, 2.0), "--tol", self.num(rng, 1e-12, 1e-4),
+                "--seed", str(rng.integers(0, 5))]
+
+    def draw(self, rng):
+        cmd = str(rng.choice(("solve-mode", "solve-linear", "solve-nonlinear", "spectrum",
+                              "verify-estimates", "symmetry-check")))
+        argv = [cmd] + self.common(rng)
+        if cmd == "solve-mode":
+            argv += self.profile(rng) + ["--xi", self.num(rng, 0.1, 5.0), "--h", self.force(rng, x=False)]
+        elif cmd in ("solve-linear", "solve-nonlinear"):
+            argv += self.profile(rng) + ["--f", self.force(rng), "--g", self.force(rng)]
+            if cmd == "solve-nonlinear" and rng.random() < 0.7:
+                argv += ["--delta", self.num(rng, 0.1, 10.0)]
+            if cmd == "solve-nonlinear" and rng.random() < 0.3:
+                argv += ["--symmetry", str(rng.choice(("X1", "Y1")))]
+        elif cmd == "spectrum":
+            argv += ["--A", self.num(rng, -2.0, 0.0), "--T", self.num(rng, 0.1, 3.0)]
+        else:
+            argv += self.profile(rng, even=cmd == "symmetry-check")
+        return argv
+
+    def test_exit_codes_and_finite_payloads(self, tmp_path, capsys):
+        rng = np.random.default_rng(2024)
+        out = tmp_path / "out.json"
+        codes = []
+        for _ in range(300):
+            argv = self.draw(rng) + ["--output", str(out)]
+            out.unlink(missing_ok=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # overflow on the way to exit 3
+                code = run_cli(argv)
+            codes.append(code)
+            assert code in (0, 2, 3), argv
+            if code == 0:
+                with open(out) as fh:
+                    assert _finite(json.load(fh)["results"]), argv
+        capsys.readouterr()
+        assert {0, 2, 3} <= set(codes)

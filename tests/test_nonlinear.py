@@ -7,9 +7,11 @@ from numpy.polynomial import Polynomial
 from cpflow.channel import (
     ChannelField,
     ForceField,
+    analyze,
     field_h_norm,
     random_field,
     symmetry_project,
+    synthesize,
 )
 from cpflow.errors import BallEscapeError, DomainError
 from cpflow.nonlinear import (
@@ -25,7 +27,9 @@ from cpflow.nonlinear import (
     random_force,
     uniqueness_probe,
 )
+from cpflow.os_solver import solve_os_zero_mode
 from cpflow.profiles import Profile, poiseuille_for_flux
+from cpflow.spectral import GridFunction
 from manufactured import ModePoly, nonlinear_force
 
 POISEUILLE = poiseuille_for_flux(4.0)
@@ -107,7 +111,7 @@ class TestPicardSolve:
         fld, trace = picard_solve(POISEUILLE, force, cfg, grid48, 6, 1.0)
         assert trace.converged
         assert trace.final_residual <= 1e-7
-        assert nonlinear_residual(POISEUILLE, fld, force) <= 1e-7
+        assert nonlinear_residual(POISEUILLE, fld, force.modes()) <= 1e-7
 
     def _floor_case(self, grid48, tol):
         # unprojected solve from Y1 data whose residual floor (about 3e-9)
@@ -128,12 +132,12 @@ class TestPicardSolve:
         assert not trace.converged
         assert trace.n_iter <= 5 and len(trace.iterates) == trace.n_iter
         assert trace.final_residual > 1e-9
-        assert trace.final_residual == nonlinear_residual(p, v, force)
+        assert trace.final_residual == nonlinear_residual(p, v, force.modes())
         # further map applications leave the residual at its floor
         w, force_modes = v, force.modes()
         for _ in range(5):
             w = solver.picard_map(force_modes, w)
-        assert nonlinear_residual(p, w, force) > 0.5 * trace.final_residual
+        assert nonlinear_residual(p, w, force_modes) > 0.5 * trace.final_residual
 
     def test_residual_floor_case_converges_at_looser_tol(self, grid48):
         _p, _force, _solver, _v, trace = self._floor_case(grid48, 1e-9)
@@ -278,3 +282,128 @@ class TestDealiasing:
             e2 = a2_o.modes.get(k, Polynomial([0.0]))(grid32.nodes)
             assert np.abs(a1[K + k] - e1).max() <= 1e-12
             assert np.abs(a2[K + k] - e2).max() <= 1e-12
+
+
+def six_field_advection(fld_a, fld_b):
+    """Reference advection: six transforms, w_y synthesized from D1 w."""
+    K, grid = fld_a.K, fld_a.grid
+    ikx = (1j * fld_a.xi0 * np.arange(-K, K + 1))[:, None]
+    vb_m, wb_m = fld_b.v_modes(), fld_b.w_modes()
+    va_m, wa_m = (vb_m, wb_m) if fld_a is fld_b else (fld_a.v_modes(), fld_a.w_modes())
+    stack = np.stack([va_m, wa_m, ikx * vb_m, vb_m @ grid.D1.T, ikx * wb_m, wb_m @ grid.D1.T])
+    va, wa, vbx, vby, wbx, wby = synthesize(stack, fld_a.xi0, K)
+    (a1, a2), _ = analyze(np.stack([va * vbx + wa * vby, va * wbx + wa * wby]), K)
+    return a1, a2
+
+
+def eager_solve_info(solver, f_modes, g_modes, fld):
+    """Reference solve_info of ``solve_modes``, evaluated from the solved modes."""
+    K, grid, N, p = solver.K, solver.grid, solver.grid.N, solver.p
+    h0 = -(grid.D1 @ f_modes[K].real)
+    sol0 = solve_os_zero_mode(GridFunction(grid, h0), grid)
+    xi = solver._xi[:, None]
+    h = 1j * xi * g_modes[K + 1 :] - f_modes[K + 1 :] @ grid.D1.T
+    phi = fld.psi_modes[K + 1 :]
+    d2 = phi @ grid.D2.T
+    res = (phi @ grid.D4.T - 2.0 * xi**2 * d2 + xi**4 * phi - h
+           - 1j * xi * (p.F(grid.nodes) * (d2 - xi**2 * phi) - 6.0 * p.A * phi))
+    w = grid.quad_weights
+    res_sq = np.abs(res[:, 2 : N - 1]) ** 2 @ w[2 : N - 1]
+    total_res = sol0.residual_norm**2 + 2.0 * res_sq.sum()
+    total_rhs = grid.l2_norm(h0) ** 2 + 2.0 * (np.abs(h) ** 2 @ w).sum()
+    return {
+        "residual_rel": math.sqrt(total_res / total_rhs) if total_rhs > 0.0 else 0.0,
+        "mode_residuals": [sol0.residual_norm] + np.sqrt(res_sq).tolist(),
+        "mode_rcond": [sol0.rcond] + solver._rcond,
+    }
+
+
+def reference_picard(solver, force, cfg, w0=None):
+    """The per-step Picard code before y-derivative stacks were shared: two
+    from-scratch H^2 norms, the six-field advection and eager solve_info."""
+    f_modes, g_modes = force_modes = force.modes()
+
+    def project(fld):
+        return fld if cfg.symmetry_class is None else symmetry_project(fld, cfg.symmetry_class)
+
+    def apply(w):
+        a1, a2 = (0.0, 0.0) if w is None else six_field_advection(w, w)
+        fld = solver.linear.solve_modes(f_modes - a1, g_modes - a2)
+        assert dict(fld.solve_info) == eager_solve_info(solver.linear, f_modes - a1, g_modes - a2, fld)
+        return project(fld)
+
+    w = apply(None) if w0 is None else project(w0)
+    start_norm = field_h_norm(w, 2)
+    iterates, failed, converged, final = [], None, False, math.inf
+    n_done = 0
+    for n_done in range(1, cfg.max_iter + 1):
+        v = apply(w)
+        inc, nv = field_h_norm(v.minus(w), 2), field_h_norm(v, 2)
+        iterates.append((nv, inc))
+        assert nv <= cfg.delta
+        w = v
+        if inc < cfg.tol:
+            final = nonlinear_residual(solver.p, w, force_modes, floor=cfg.tol)
+            if final < 10.0 * cfg.tol:
+                converged = True
+                break
+            if failed is not None and final > 0.5 * failed:
+                break
+        failed = final if inc < cfg.tol else None
+    return w, start_norm, iterates, converged, n_done
+
+
+Y1_FORCE = (lambda x, y: 0.05 * np.cos(x) * (1.0 - y**2), lambda x, y: 0.05 * np.sin(x) * y)
+
+
+class TestPicardLoopReference:
+    """The stack-sharing loop against the per-step reference code."""
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize(
+        "p, sym",
+        [(POISEUILLE, None), (POISEUILLE, "Y1"), (Profile(-0.7, 0.3, 3.0), None)],
+        ids=["poiseuille", "poiseuille-Y1", "skewed"],
+    )
+    def test_same_iterates(self, grid48, p, sym, forced):
+        K, xi0 = 8, 1.0
+        rng = np.random.default_rng(48)
+        cfg = PicardConfig(delta=10.0, tol=1e-9, max_iter=100, symmetry_class=sym)
+        if not forced:
+            force, w0 = ForceField.zero(xi0, K, grid48), random_field(rng, grid48, K, xi0, 2.0)
+        elif sym is None:
+            force, w0 = random_force(rng, grid48, K, xi0, 0.5), None
+        else:
+            force, w0 = ForceField.from_callables(xi0, K, grid48, *Y1_FORCE), None
+        solver = NonlinearChannelSolver(p, grid48, K, xi0)
+        v, trace = solver.solve(force, cfg, w0=w0)
+        v_ref, prev, iterates, converged, n_iter = reference_picard(solver, force, cfg, w0=w0)
+        assert (trace.n_iter, trace.converged) == (n_iter, converged)
+        for (nv, inc), (nv_ref, inc_ref) in zip(trace.iterates, iterates, strict=True):
+            assert abs(nv - nv_ref) <= 1e-11 * nv_ref
+            # v - w carries the roundoff of the larger iterate: an unforced v
+            # ends many orders below the w it is subtracted from
+            assert abs(inc - inc_ref) <= 1e-11 * max(nv_ref, prev)
+            prev = nv_ref
+        # an unforced iterate is squared by each map (2 -> about 1e-46 in four
+        # steps), so its relative roundoff grows per step: 1.6e-12 measured
+        rel = 1e-12 if forced else 1e-11
+        assert field_h_norm(v.minus(v_ref), 2) <= rel * field_h_norm(v_ref, 2)
+
+    def test_solve_info_read_late_equals_eager(self, grid48):
+        K = 8
+        solver = NonlinearChannelSolver(POISEUILLE, grid48, K, 1.0)
+        f_modes, g_modes = random_force(np.random.default_rng(5), grid48, K, 1.0, 1.0).modes()
+        fld = solver.linear.solve_modes(f_modes, g_modes)
+        later = solver.linear.solve_modes(f_modes + 1.0, g_modes)  # other work in between
+        assert later.solve_info["residual_rel"] <= 1e-8
+        assert dict(fld.solve_info) == eager_solve_info(solver.linear, f_modes, g_modes, fld)
+        assert fld.scaled(2.0).solve_info is None
+
+    @pytest.mark.parametrize("same", [True, False], ids=["self", "pair"])
+    def test_five_field_advection_matches_six(self, grid48, same):
+        rng = np.random.default_rng(11)
+        u = random_field(rng, grid48, 8, 1.3, 1.0)
+        w = u if same else random_field(rng, grid48, 8, 1.3, 1.0)
+        for got, want in zip(advection_modes(u, w), six_field_advection(u, w)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.polynomial import Polynomial
+from scipy.linalg import lapack
 
 from cpflow.errors import DomainError, InadmissibleProfileError, NearSingularSystemError
 from cpflow.os_solver import (
     OSModeOperator,
     apriori_ratio,
+    bordered_system,
+    os_operator_matrix,
     sigma_diagnostics,
     solve_os_mode,
     solve_os_zero_mode,
@@ -116,6 +120,48 @@ class TestZeroMode:
         # absolute collocation residual; its float64 floor grows with N
         sol = solve_os_zero_mode(smooth_source(grid32, rng), grid32)
         assert sol.residual_norm <= 1e-10
+
+    @pytest.mark.parametrize("N", [32, 96])
+    def test_real_system_matches_complex_factorization(self, N, rng):
+        # the xi = 0 system is real: real LU and gecon against the complex
+        # factorization of the same equilibrated system
+        grid = build_grid(N)
+        op = OSModeOperator(None, 0.0, grid)
+        assert not np.iscomplexobj(op._A)
+        A = bordered_system(os_operator_matrix(None, 0.0, grid), grid)
+        As = A / np.abs(A).max(axis=1)[:, None]
+        lu = sla.lu_factor(As)
+        rcond, _ = lapack.zgecon(lu[0], np.abs(As).sum(axis=0).max(), norm="1")
+        assert op.rcond == pytest.approx(rcond, rel=1e-10)
+        h = smooth_source(grid, rng)
+        rhs = h.values.copy()
+        rhs[[0, 1, N - 1, N]] = 0.0
+        scale = 1.0 / np.abs(A).max(axis=1)
+        want = sla.lu_solve(lu, rhs * scale)
+        for _ in range(2):
+            want = want + sla.lu_solve(lu, (rhs - A @ want) * scale)
+        got = op.solve(h).phi.values
+        # backward-stable solves agree to the forward error bound eps / rcond
+        bound = np.finfo(float).eps / rcond * np.abs(want).max()
+        assert np.abs(got - want).max() <= bound
+        real = op.solve(GridFunction(grid, h.values.real)).phi.values
+        imag = op.solve(GridFunction(grid, h.values.imag)).phi.values
+        assert np.abs(got - (real + 1j * imag)).max() <= bound
+
+
+class TestNonFiniteData:
+    def test_nan_source_is_a_domain_error(self, grid32):
+        vals = np.sin(np.pi * grid32.nodes)
+        vals[5] = np.nan
+        with pytest.raises(DomainError):
+            solve_os_mode(POISEUILLE, 1.0, GridFunction(grid32, vals), grid32)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_grid_function_rejects_non_finite(self, grid32, bad):
+        vals = np.zeros(grid32.N + 1, dtype=complex)
+        vals[3] = bad
+        with pytest.raises(DomainError):
+            GridFunction(grid32, vals)
 
 
 class TestAprioriRatio:

@@ -282,8 +282,8 @@ class TestNeutralSearch:
                                       N_check=144, T_tol=1e-4, agreement_rtol=5e-3)
         assert len(calls) == len(npt.trace) + 1
 
-    def test_acceptance_settings_evaluation_count(self):
-        npt = neutral_search((0.8, 1.3), (5000.0, 6500.0), tol=1e-6, N=200, N_check=300)
+    def test_acceptance_settings_evaluation_count(self, neutral_full):
+        npt, _elapsed = neutral_full
         assert len(npt.trace) <= 60
         assert abs(npt.trace[-1]["re"]) <= 1e-6
         assert -3.0 * npt.A1 == pytest.approx(CRIT_RE, rel=1e-3)
