@@ -117,7 +117,11 @@ class ForceField:
 
     def modes(self):
         """Per-mode coefficients with a resolution check on the tail."""
-        (fm, gm), tails = analyze(np.stack([self.f, self.g]), self.K)
+        try:
+            with np.errstate(over="raise"):
+                (fm, gm), tails = analyze(np.stack([self.f, self.g]), self.K)
+        except FloatingPointError:
+            raise DomainError("force energy overflows float64; scale the force down") from None
         tail = float(tails.max())
         scale = max(np.abs(self.f).max(initial=0.0), np.abs(self.g).max(initial=0.0))
         if scale > 0.0 and not tail <= FORCE_TAIL_TOL:  # a NaN tail fails too
@@ -285,7 +289,7 @@ def field_h_norm(fld, m):
 class LinearizedChannelSolver:
     """Stacked mode inverses for repeated solves at one profile.
 
-    Modes k = 1..K are factorized once, each behind its rcond gate, and
+    Modes k = 1..K are inverted once, each behind its rcond gate, and
     solved by one batched product; k = 0 is solved per call.  Residuals
     come from the operator's parts, not from the inverses.
     """

@@ -189,10 +189,12 @@ def _check_numerics(args):
     wave = max(abs(args.K * args.xi0), *(abs(getattr(args, n, 0.0)) for n in names))
     if wave > sys.float_info.max**0.25:  # the mode operators take xi^4
         raise ConfigError(f"wavenumber {wave} overflows at the fourth power")
-    for name in ("N", "K", "xi0", "tol", "max_iter"):
+    for name in ("N", "K", "xi0", "tol", "max_iter", "T", "T_min", "T_max"):
         v = getattr(args, name, None)
         if v is not None and v <= 0:
             raise ConfigError(f"numerics value {name} must be positive, got {v}")
+    if getattr(args, "xi", None) == 0.0:
+        raise ConfigError("mode wavenumber xi must be nonzero")
     if args.N < 8:
         raise ConfigError(f"collocation degree N must be at least 8, got {args.N}")
 

@@ -109,7 +109,7 @@ def nonlinear_residual(p, fld, force_modes, floor=1e-300):
             + (psi_x Lap psi_y - psi_y Lap psi_x) = g_x - f_y.
 
     Mode derivatives are exact and the quadratic term is dealiased; the
-    evaluation shares no state with the LU solves of the iteration but takes
+    evaluation shares no state with the mode solves of the iteration but takes
     their ``force.modes()``.  The residual norm is divided by max(||rhs||,
     ||Lap^2 psi||, ``floor``).
     """
@@ -132,7 +132,7 @@ def nonlinear_residual(p, fld, force_modes, floor=1e-300):
 
 
 class NonlinearChannelSolver:
-    """Shares one factorized linear solver across all Picard machinery."""
+    """Shares one inverted linear solver across all Picard machinery."""
 
     def __init__(self, p, grid, K, xi0):
         self.p = p
@@ -318,16 +318,12 @@ def measure_kappa0(p, grid, K, xi0, n_samples=12, seed=0):
 def measure_c1(grid, K, xi0, n_pairs=12, seed=0):
     """Advection embedding constant: sup ||(u.grad)w||_L2 / (||u||_H2 ||w||_H2)."""
     rng = np.random.default_rng(seed)
-    period = 2.0 * math.pi / xi0
     worst = 0.0
     for _ in range(n_pairs):
         u = random_field(rng, grid, K, xi0, rng.uniform(0.5, 2.0))
         w = random_field(rng, grid, K, xi0, rng.uniform(0.5, 2.0))
         a1, a2 = advection_modes(u, w)
-        adv = math.sqrt(
-            period
-            * float(((np.abs(a1) ** 2 + np.abs(a2) ** 2) @ grid.quad_weights).sum())
-        )
+        adv = math.sqrt(_cell_l2sq(a1, xi0, grid) + _cell_l2sq(a2, xi0, grid))
         worst = max(worst, adv / (field_h_norm(u, 2) * field_h_norm(w, 2)))
     return float(worst)
 

@@ -17,19 +17,17 @@ series used in :mod:`cpflow.channel`.
 
 Boundary conditions are imposed by boundary bordering: the four rows for
 phi(+-1) and phi'(+-1) replace the collocation rows at the walls and at
-the first interior nodes, keeping the system square.  Rows are
-equilibrated before the LU factorization and each solve performs two steps
-of iterative refinement; the reciprocal condition number of the
-equilibrated system is estimated and a near-singular system raises
+the first interior nodes, keeping the system square.  The row-equilibrated
+system As is inverted explicitly, which gives its reciprocal condition
+number exactly, 1 / (||As||_1 ||As^-1||_1); a near-singular system raises
 :class:`~cpflow.errors.NearSingularSystemError` (at inadmissible profiles
-near neutral parameters this signals genuine loss of injectivity).
+near neutral parameters this signals genuine loss of injectivity).  Each
+solve refines twice on the equilibrated system, x <- x + As^-1 (b - As x).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .errors import DomainError, InadmissibleProfileError, NearSingularSystemError
 from .profiles import check_admissibility
@@ -49,20 +47,19 @@ RCOND_FLOOR = 1e-14
 
 
 def os_operator_matrix(p, xi, grid):
-    """Dense collocation matrix of the mode operator (no boundary rows)."""
-    N = grid.N
-    I = np.eye(N + 1)
-    L = grid.D4 - 2.0 * xi**2 * grid.D2 + xi**4 * I
-    if xi != 0.0:
-        F = p.F(grid.nodes)
-        L = L - 1j * xi * (F[:, None] * (grid.D2 - xi**2 * I) - 6.0 * p.A * I)
-    return L
+    """Dense collocation matrix of the mode operator (no boundary rows); grid.D4 itself at xi = 0."""
+    if xi == 0.0:
+        return grid.D4
+    I = np.eye(grid.N + 1)
+    F = p.F(grid.nodes)
+    return (grid.D4 - 2.0 * xi**2 * grid.D2 + xi**4 * I
+            - 1j * xi * (F[:, None] * (grid.D2 - xi**2 * I) - 6.0 * p.A * I))
 
 
 def bordered_system(L, grid):
-    """Replace rows (0, 1, N-1, N) by the clamped boundary conditions."""
+    """Copy of L with rows (0, 1, N-1, N) replaced by the clamped boundary conditions."""
     N = grid.N
-    A = np.array(L, dtype=complex)
+    A = np.array(L)
     A[0, :] = 0.0
     A[0, 0] = 1.0  # phi(+1) = 0
     A[1, :] = grid.D1[0, :]  # phi'(+1) = 0
@@ -101,11 +98,11 @@ class SigmaDiagnostics:
 
 
 class OSModeOperator:
-    """Factorized clamped mode operator, reusable across right-hand sides.
+    """Inverted clamped mode operator, reusable across right-hand sides.
 
     ``xi = 0`` builds the plain fourth-derivative reduction, which takes
-    no profile (``p`` may be None).  It is real, so it is factorized,
-    condition-estimated and, for a real source, solved in real arithmetic.
+    no profile (``p`` may be None).  It is real, so it is inverted and, for
+    a real source, solved in real arithmetic.
     """
 
     def __init__(self, p, xi, grid):
@@ -113,18 +110,17 @@ class OSModeOperator:
         self.grid = grid
         self._L = os_operator_matrix(p, xi, grid)
         A = bordered_system(self._L, grid)
-        if not np.iscomplexobj(self._L):
-            A = np.ascontiguousarray(A.real)
         scale = np.abs(A).max(axis=1)
         scale[scale == 0.0] = 1.0
         self._row_scale = 1.0 / scale
-        As = A * self._row_scale[:, None]
-        self._A = A
-        self._lu = sla.lu_factor(As, check_finite=False)
-        anorm = np.abs(As).sum(axis=0).max()
-        (gecon,) = lapack.get_lapack_funcs(("gecon",), (As,))
-        self.rcond, info = gecon(self._lu[0], anorm, norm="1")
-        if info != 0 or not np.isfinite(self.rcond) or self.rcond < RCOND_FLOOR:
+        self._A = A * self._row_scale[:, None]  # the row-equilibrated system As
+        try:
+            self._inv = np.linalg.inv(self._A)
+            self.rcond = 1.0 / (np.abs(self._A).sum(axis=0).max()
+                                * np.abs(self._inv).sum(axis=0).max())
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            self.rcond = 0.0
+        if not np.isfinite(self.rcond) or self.rcond < RCOND_FLOOR:
             raise NearSingularSystemError(
                 f"mode system at xi={xi} is numerically singular "
                 f"(rcond={self.rcond:.3e})",
@@ -132,8 +128,8 @@ class OSModeOperator:
             )
 
     def inverse(self):
-        """Dense inverse of the bordered system from the equilibrated LU."""
-        return sla.lu_solve(self._lu, np.diag(self._row_scale), check_finite=False)
+        """Dense inverse of the bordered system, As^-1 diag(row_scale)."""
+        return self._inv * self._row_scale
 
     def solve(self, h):
         """Solve for the given source and package diagnostics."""
@@ -144,12 +140,11 @@ class OSModeOperator:
             raise DomainError("source length does not match the grid")
         if not (np.iscomplexobj(self._A) or hv.imag.any()):
             hv = hv.real  # a real source on the real system stays real
-        rhs = hv.copy()
-        rhs[[0, 1, N - 1, N]] = 0.0
-        x = sla.lu_solve(self._lu, rhs * self._row_scale, check_finite=False)
+        b = hv * self._row_scale
+        b[[0, 1, N - 1, N]] = 0.0
+        x = self._inv @ b
         for _ in range(2):  # iterative refinement
-            r = rhs - self._A @ x
-            x = x + sla.lu_solve(self._lu, r * self._row_scale, check_finite=False)
+            x = x + self._inv @ (b - self._A @ x)
         interior = slice(2, N - 1)
         res = (self._L @ x - hv)[interior]
         w = g.quad_weights[interior]

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -321,6 +324,28 @@ class TestInputGuards:
     def test_non_finite_or_overflowing_flag_is_config_error(self, tmp_path, argv):
         assert run_cli(argv + ["--output", str(tmp_path / "x.json")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["solve-mode", "--profile", "poiseuille", "--xi", "0"],
+        ["spectrum", "--A", "-0.2", "--T", "0", "--N", "32"],
+        ["spectrum", "--A", "-0.2", "--T", "-1", "--N", "32"],
+        ["neutral-search", "--T-min", "0", "--T-max", "1.3", "--N", "32", "--N-check", "48"],
+        ["neutral-search", "--T-min", "0.8", "--T-max", "-1", "--N", "32", "--N-check", "48"],
+    ], ids=["zero-xi", "zero-T", "negative-T", "zero-T-min", "negative-T-max"])
+    def test_zero_or_negative_wavenumber_is_config_error(self, tmp_path, argv):
+        assert run_cli(argv + ["--output", str(tmp_path / "x.json")]) == 2
+
+    def test_overflowing_force_energy_is_named(self, tmp_path, capsys):
+        # finite samples whose mode energies overflow: one error line, no numpy warning
+        out = tmp_path / "x.json"
+        argv = ["solve-linear", "--profile", "poiseuille", "--N", "12", "--K", "3",
+                "--f", "1e300*sin(3*x)*exp(y)", "--output", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "force energy overflows" in err[0]
+        assert not out.exists()
+
     def test_symmetry_check_overflowing_scale_is_solver_error(self, tmp_path):
         # K * xi0 = 8e70 passes the flag guard, but the H2 scale overflows
         out = tmp_path / "x.json"
@@ -335,6 +360,53 @@ class TestInputGuards:
         argv = ["solve-mode", "--profile", "poiseuille", "--xi", "1", "--h", "0*y", "--output", str(out)]
         assert run_cli(argv) == 3
         assert not out.exists()
+
+
+README_COMMANDS = [
+    ["solve-mode", "--A", "-1", "--B", "0", "--C", "3", "--xi", "1", "--N", "64", "--h", "sin(pi*y)"],
+    ["solve-linear", "--profile", "poiseuille", "--flux", "4", "--N", "48", "--K", "8",
+     "--f", "sin(x)*(1-y**2)", "--g", "cos(x)*y"],
+    ["solve-nonlinear", "--profile", "poiseuille", "--flux", "4",
+     "--f", "0.01*sin(x)", "--g", "0.0*y"],
+    ["spectrum", "--A", "-0.2", "--T", "1.0", "--N", "120"],
+    # the README search at a quick resolution: the same code path, a fraction of the time
+    ["neutral-search", "--reA-min", "5000", "--reA-max", "6500", "--tol", "1e-3",
+     "--N", "96", "--N-check", "144"],
+    ["verify-estimates", "--profile", "poiseuille", "--flux", "4"],
+    ["symmetry-check", "--A", "-1", "--B", "0", "--C", "3.5"],
+    ["regression", "--baseline", "baseline.json", "--record", "--N", "40", "--K", "4"],
+]
+
+HYGIENE_SCRIPT = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import cpflow, cpflow.cli
+after_import = scipy_modules()
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        cpflow.cli.main(argv)
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps({"import": after_import, "commands": scipy_modules(), "codes": codes}))
+"""
+
+
+class TestImportHygiene:
+    def test_no_scipy_on_the_import_path(self, tmp_path):
+        # the package runs on numpy alone: importing scipy.linalg costs
+        # about 0.3 s and 28 MB of RSS in every one-shot command
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("CPFLOW_OUTPUT_DIR", None)
+        proc = subprocess.run([sys.executable, "-c", HYGIENE_SCRIPT, json.dumps(README_COMMANDS)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["codes"] == [0] * len(README_COMMANDS), proc.stderr[-2000:]
+        assert report["import"] == [] and report["commands"] == []
 
 
 def _finite(obj):

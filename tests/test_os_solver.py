@@ -149,6 +149,22 @@ class TestZeroMode:
         assert np.abs(got - (real + 1j * imag)).max() <= bound
 
 
+class TestConditionNumber:
+    @pytest.mark.parametrize("p", [POISEUILLE, Profile(-0.7, 0.3, 3.0)], ids=["poiseuille", "skewed"])
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 5.0, 32.0])
+    @pytest.mark.parametrize("N", [32, 96])
+    def test_exact_rcond_matches_lapack_estimate(self, N, xi, p):
+        # 1 / (||As||_1 ||As^-1||_1) from the explicit inverse against
+        # zgecon's estimate from the LU of the same equilibrated system
+        grid = build_grid(N)
+        A = bordered_system(os_operator_matrix(p, xi, grid), grid)
+        As = (A / np.abs(A).max(axis=1)[:, None]).astype(complex)
+        lu = sla.lu_factor(As)
+        rcond, info = lapack.zgecon(lu[0], np.abs(As).sum(axis=0).max(), norm="1")
+        assert info == 0
+        assert OSModeOperator(p, xi, grid).rcond == pytest.approx(rcond, rel=1e-10)
+
+
 class TestNonFiniteData:
     def test_nan_source_is_a_domain_error(self, grid32):
         vals = np.sin(np.pi * grid32.nodes)

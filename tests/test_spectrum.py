@@ -11,7 +11,6 @@ from cpflow.spectrum import (
     leading_eigenvalue,
     neutral_search,
     os_spectrum,
-    poiseuille_phase_speeds,
     small_at_certificate,
     verify_energy_identity,
 )
@@ -23,6 +22,18 @@ CRIT_RE = 5772.22
 CRIT_ALPHA = 1.02056
 CRIT_C = 0.26400
 ORSZAG_C = 0.23752649 + 0.00373967j
+
+
+def poiseuille_phase_speeds(reynolds, alpha, N):
+    """Classical phase-speed spectrum of the parabolic profile, via QZ.
+
+    Independent route for the mapping check lambda = -i alpha Re c: the
+    same pencil is posed for c directly with modes ~ exp(i alpha (x - c t))
+    in units of the profile maximum, and solved by the QZ algorithm
+    instead of the Dirichlet-inverse reduction.
+    """
+    L, B = spectrum._pencil(-reynolds / 3.0, alpha, N)
+    return sla.eigvals(L, -1j * alpha * reynolds * B, check_finite=False)
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +151,39 @@ class TestSensitivity:
                 - leading_eigenvalue(-a / 3.0, T - hT, N)) / (2.0 * hT)
         assert abs(d_a - fd_a) <= 1e-5 * abs(fd_a)
         assert abs(d_T - fd_T) <= 1e-5 * abs(fd_T)
+
+    @pytest.mark.parametrize("N", [96, 200])
+    def test_derivatives_match_left_right_eig(self, N):
+        # the left vector by inverse iteration against LAPACK's left eigenvectors
+        for a, T in ((5772.22, 1.0205), (2000.0, 0.8), (8000.0, 1.2)):
+            got = leading_eigenvalue(-a / 3.0, T, N, sensitivity=True)
+            want = scipy_sensitivities(-a / 3.0, T, N)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-9 * abs(w)
+
+    def test_left_vector_of_an_exactly_singular_shift(self):
+        # lambda an eigenvalue to the last bit: R is shifted, not solved singular
+        R = np.diag([1.0, 0.0, 3.0]).astype(complex)
+        w = spectrum._left_null_vector(R, np.ones(3, dtype=complex))
+        assert abs(abs(w[1]) - 1.0) <= 1e-12
+        assert np.abs(w[[0, 2]]).max() <= 1e-12
+
+
+def scipy_sensitivities(A, T, N):
+    """Reference (lambda, dlambda/da, dlambda/dT) from scipy's left/right eig of B^-1 L."""
+    y_int, D2i, *_ = spectrum._clamped_blocks(N)
+    L, B = spectrum._pencil(A, T, N)
+    lu = sla.lu_factor(B)
+    vals, left, right = sla.eig(sla.lu_solve(lu, L), left=True, right=True)
+    i = int(np.argmax(vals.real))
+    lam, u, x = vals[i], left[:, i], right[:, i]
+    w = sla.lu_solve(lu, u, trans=1)  # w^H = u^H B^-1
+    y2 = 1.0 - y_int**2
+    shear_x = y2 * (B @ x) + 2.0 * x
+    dT_x = (-4.0 * T * (D2i @ x) + 4.0 * T**3 * x + 3j * A * shear_x
+            - 6j * A * T**2 * y2 * x + 2.0 * T * lam * x)
+    den = np.vdot(u, x)
+    return lam, np.vdot(w, -1j * T * shear_x) / den, np.vdot(w, dT_x) / den
 
 
 def dense_eig(A, T, N, with_vectors=False):
