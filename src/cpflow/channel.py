@@ -584,6 +584,20 @@ def check_symmetry_cancellation(p, fld):
     return stream_cross_integrals(p, fld)
 
 
+def _random_modes(rng, shapes, K, decay):
+    """Hermitian modes k = -K..K with mode k >= 0 equal to decay^k (a_k + i b_k) @ shapes.
+
+    The a_k and b_k are standard normal, b_0 = 0, drawn in one call in the
+    order a_0, a_1, b_1, a_2, b_2, ...
+    """
+    m = len(shapes)
+    z = rng.normal(size=m * (2 * K + 1))
+    ab = z[m:].reshape(K, 2, m)
+    c = np.vstack([z[:m], ab[:, 0] + 1j * ab[:, 1]])
+    vals = (c * decay ** np.arange(K + 1)[:, None]) @ shapes
+    return np.concatenate([np.conj(vals[:0:-1]), vals])
+
+
 def random_field(rng, grid, K, xi0, h2_norm):
     """Smooth random clamped field with prescribed H^2 norm.
 
@@ -591,15 +605,8 @@ def random_field(rng, grid, K, xi0, h2_norm):
     is clamped exactly; coefficients decay as 0.6^|k|.
     """
     y = grid.nodes
-    env = (1.0 - y**2) ** 2
-    shapes = np.array([env * y**j for j in range(4)])
-    psi = np.zeros((2 * K + 1, grid.N + 1), dtype=complex)
-    for k in range(K + 1):
-        c = rng.normal(size=4) + (1j * rng.normal(size=4) if k else 0.0)
-        vals = (c * 0.6**k) @ shapes
-        psi[K + k] = vals
-        psi[K - k] = np.conj(vals)
-    fld = ChannelField(xi0, K, grid, psi)
+    shapes = np.array([(1.0 - y**2) ** 2 * y**j for j in range(4)])
+    fld = ChannelField(xi0, K, grid, _random_modes(rng, shapes, K, 0.6))
     cur = field_h_norm(fld, 2)
     if cur == 0.0:
         raise DomainError("degenerate random draw")

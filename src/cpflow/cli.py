@@ -30,13 +30,13 @@ from .channel import (
 from .errors import ConfigError, CpflowError
 from .forcing import compile_expression
 from .nonlinear import (
+    NonlinearChannelSolver,
     PicardConfig,
     advection_modes,
     contraction_ball_radius,
     measure_c1,
     measure_contraction,
     measure_kappa0,
-    picard_solve,
 )
 from .os_solver import apriori_ratio, sigma_diagnostics, solve_os_mode
 from .profiles import Profile, check_admissibility, couette, poiseuille_for_flux
@@ -69,6 +69,11 @@ def _add_profile_args(sp):
     sp.add_argument("--shear", type=float, default=1.0, help="shear rate of the named couette profile")
 
 
+def _add_force_args(sp):
+    sp.add_argument("--f", default="0.0*y", help="streamwise force expression in x, y")
+    sp.add_argument("--g", default="0.0*y", help="wall-normal force expression in x, y")
+
+
 def _add_common(sp, n_default=64):
     sp.add_argument("--config", default=None, help="flat KEY=VALUE config file; flags override")
     sp.add_argument("--N", type=int, default=n_default, help="collocation degree")
@@ -81,57 +86,61 @@ def _add_common(sp, n_default=64):
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def build_parser():
+def _command(argv):
+    """The command argv starts with (top-level options all exit), or None."""
+    return argv[0] if argv and argv[0] in COMMANDS else None
+
+
+def build_parser(argv=()):
+    """The parser, with arguments for the command argv names, or for all eight."""
     ap = argparse.ArgumentParser(prog="cpflow", description=__doc__)
     ap.add_argument("--version", action="version", version=f"cpflow {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
+    command = _command(argv)
+    # a parser built for one command still names all eight in its usage line
+    usage_name = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = ap.add_subparsers(dest="command", required=True, metavar=usage_name)
 
-    sp = sub.add_parser("solve-mode", help="solve one forced Orr-Sommerfeld mode")
-    _add_profile_args(sp)
-    _add_common(sp)
-    sp.add_argument("--xi", type=float, required=True, help="mode wavenumber (nonzero)")
-    sp.add_argument("--h", default="sin(pi*y)", help="source expression in y")
+    def add(name, help_text, n_default=64, profile=True):
+        """The subparser of ``name`` with its shared arguments; None if argv names another."""
+        if command not in (None, name):
+            return None
+        sp = sub.add_parser(name, help=help_text)
+        if profile:
+            _add_profile_args(sp)
+        _add_common(sp, n_default)
+        return sp
 
-    sp = sub.add_parser("solve-linear", help="solve the linearized channel problem")
-    _add_profile_args(sp)
-    _add_common(sp, n_default=48)
-    sp.add_argument("--f", default="0.0*y", help="streamwise force expression in x, y")
-    sp.add_argument("--g", default="0.0*y", help="wall-normal force expression in x, y")
+    if sp := add("solve-mode", "solve one forced Orr-Sommerfeld mode"):
+        sp.add_argument("--xi", type=float, required=True, help="mode wavenumber (nonzero)")
+        sp.add_argument("--h", default="sin(pi*y)", help="source expression in y")
 
-    sp = sub.add_parser("solve-nonlinear", help="fixed-point solve of the nonlinear problem")
-    _add_profile_args(sp)
-    _add_common(sp, n_default=48)
-    sp.add_argument("--f", default="0.0*y", help="streamwise force expression in x, y")
-    sp.add_argument("--g", default="0.0*y", help="wall-normal force expression in x, y")
-    sp.add_argument("--delta", type=float, default=None, help="ball radius (default from measured constants)")
-    sp.add_argument("--symmetry", choices=("X1", "Y1"), default=None)
+    if sp := add("solve-linear", "solve the linearized channel problem", n_default=48):
+        _add_force_args(sp)
 
-    sp = sub.add_parser("spectrum", help="resolution-filtered stability spectrum at (A, T)")
-    _add_common(sp, n_default=120)
-    sp.add_argument("--A", type=float, required=True)
-    sp.add_argument("--T", type=float, required=True)
+    if sp := add("solve-nonlinear", "fixed-point solve of the nonlinear problem", n_default=48):
+        _add_force_args(sp)
+        sp.add_argument("--delta", type=float, default=None, help="ball radius (default from measured constants)")
+        sp.add_argument("--symmetry", choices=("X1", "Y1"), default=None)
 
-    sp = sub.add_parser("neutral-search", help="locate the neutral crossing of the leading growth rate")
-    _add_common(sp, n_default=200)
-    sp.add_argument("--reA-min", type=float, default=5000.0, help="lower bracket of -3A")
-    sp.add_argument("--reA-max", type=float, default=6500.0, help="upper bracket of -3A")
-    sp.add_argument("--T-min", type=float, default=0.8)
-    sp.add_argument("--T-max", type=float, default=1.3)
-    sp.add_argument("--N-check", type=int, default=300, help="verification resolution")
+    if sp := add("spectrum", "resolution-filtered stability spectrum at (A, T)", n_default=120,
+                 profile=False):
+        sp.add_argument("--A", type=float, required=True)
+        sp.add_argument("--T", type=float, required=True)
 
-    sp = sub.add_parser("verify-estimates", help="run the energy-estimate battery for a profile")
-    _add_profile_args(sp)
-    _add_common(sp)
+    if sp := add("neutral-search", "locate the neutral crossing of the leading growth rate",
+                 n_default=200, profile=False):
+        sp.add_argument("--reA-min", type=float, default=5000.0, help="lower bracket of -3A")
+        sp.add_argument("--reA-max", type=float, default=6500.0, help="upper bracket of -3A")
+        sp.add_argument("--T-min", type=float, default=0.8)
+        sp.add_argument("--T-max", type=float, default=1.3)
+        sp.add_argument("--N-check", type=int, default=300, help="verification resolution")
 
-    sp = sub.add_parser("symmetry-check", help="parity cancellation integrals for an even profile")
-    _add_profile_args(sp)
-    _add_common(sp, n_default=32)
+    add("verify-estimates", "run the energy-estimate battery for a profile")
+    add("symmetry-check", "parity cancellation integrals for an even profile", n_default=32)
 
-    sp = sub.add_parser("regression", help="compare measured constants against a stored baseline")
-    _add_profile_args(sp)
-    _add_common(sp, n_default=48)
-    sp.add_argument("--baseline", required=True, help="baseline JSON path")
-    sp.add_argument("--record", action="store_true", help="write the baseline instead of comparing")
+    if sp := add("regression", "compare measured constants against a stored baseline", n_default=48):
+        sp.add_argument("--baseline", required=True, help="baseline JSON path")
+        sp.add_argument("--record", action="store_true", help="write the baseline instead of comparing")
 
     return ap
 
@@ -156,9 +165,9 @@ def _apply_config_file(ap, argv):
                 pairs[key.strip().replace("-", "_")] = val.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    command = next((tok for tok in argv if not tok.startswith("-")), None)
-    if command not in COMMANDS:
-        raise ConfigError(f"config file given without a known command: {command!r}")
+    command = _command(argv)
+    if command is None:
+        raise ConfigError(f"config file needs a known command as the first word, got {argv[:1]}")
     sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     sp = sub.choices[command]
     typed = {}
@@ -305,9 +314,9 @@ def cmd_solve_linear(args):
     return write_json(args, results, path=base)
 
 
-def _measured_ball(p, grid, args):
+def _measured_ball(p, grid, args, solver):
     """(kappa0, c1, delta): measured constants and the ball radius they give."""
-    k0 = measure_kappa0(p, grid, args.K, args.xi0, n_samples=8, seed=args.seed)
+    k0 = measure_kappa0(p, grid, args.K, args.xi0, n_samples=8, seed=args.seed, solver=solver)
     c1 = measure_c1(grid, args.K, args.xi0, n_pairs=8, seed=args.seed + 1)
     return k0, c1, contraction_ball_radius(k0, c1)
 
@@ -316,9 +325,12 @@ def cmd_solve_nonlinear(args):
     p = resolve_profile(args)
     grid = build_grid(args.N)
     force = _force_from_args(args, grid)
-    delta = _measured_ball(p, grid, args)[2] if args.delta is None else args.delta
+    if args.symmetry == "X1" and (force.f.any() or force.g.any()):
+        raise ConfigError("--symmetry X1 needs a zero force: F d/dx takes forced solves out of X1")
+    solver = NonlinearChannelSolver(p, grid, args.K, args.xi0)
+    delta = _measured_ball(p, grid, args, solver.linear)[2] if args.delta is None else args.delta
     cfg = PicardConfig(delta=delta, tol=args.tol, max_iter=args.max_iter, symmetry_class=args.symmetry)
-    fld, trace = picard_solve(p, force, cfg, grid, args.K, args.xi0)
+    fld, trace = solver.solve(force, cfg)
     grad = recover_pressure_gradient(p, fld, force, nonlinear_modes=advection_modes(fld, fld))
     base = output_path(args)
     stem = os.path.splitext(base)[0]
@@ -345,8 +357,7 @@ def cmd_solve_nonlinear(args):
 
 
 def cmd_spectrum(args):
-    grid = build_grid(args.N)
-    res = os_spectrum(args.A, args.T, grid, with_vectors=False)
+    res = os_spectrum(args.A, args.T, args.N, with_vectors=False)
     base = output_path(args)
     csv_path = os.path.splitext(base)[0] + ".csv"
     with open(csv_path, "w") as fh:
@@ -503,9 +514,10 @@ BASELINE_TOLERANCES = {
 def measure_baseline(args, p):
     """Measured constants at reduced, deterministic numerics."""
     grid = build_grid(args.N)
-    k0, c1, delta = _measured_ball(p, grid, args)
+    solver = NonlinearChannelSolver(p, grid, args.K, args.xi0)
+    k0, c1, delta = _measured_ball(p, grid, args, solver.linear)
     ratio = measure_contraction(p, None, delta, grid, args.K, args.xi0,
-                                n_pairs=8, seed=args.seed + 2)
+                                n_pairs=8, seed=args.seed + 2, solver=solver)
     checks = _estimate_battery(p, grid, args.seed)
     npt = neutral_search((0.9, 1.15), (5600.0, 6000.0), tol=1e-3, N=96, N_check=144,
                          T_tol=1e-4, agreement_rtol=5e-3)
@@ -565,7 +577,7 @@ HANDLERS = {
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ap = build_parser()
+        ap = build_parser(argv)
         _apply_config_file(ap, argv)
         args = ap.parse_args(argv)
         _check_numerics(args)

@@ -17,6 +17,7 @@ from .channel import (
     ForceField,
     LinearizedChannelSolver,
     _cell_l2sq,
+    _random_modes,
     _stack_h_norm,
     _y_stack,
     analyze,
@@ -232,15 +233,16 @@ def picard_solve(p, force, cfg, grid, K, xi0=None, w0=None):
     return NonlinearChannelSolver(p, grid, K, xi0).solve(force, cfg, w0=w0)
 
 
-def measure_contraction(p, force, delta, grid, K, xi0, n_pairs=20, seed=0):
+def measure_contraction(p, force, delta, grid, K, xi0, n_pairs=20, seed=0, solver=None):
     """Empirical Lipschitz ratio of the map over random pairs in the ball.
 
     The difference of two map values cancels the external force, so the
     measured ratio depends only on the quadratic coupling; it scales
-    linearly with delta.
+    linearly with delta.  ``solver``: a ``NonlinearChannelSolver`` of the
+    same (p, grid, K, xi0), if held.
     """
     rng = np.random.default_rng(seed)
-    solver = NonlinearChannelSolver(p, grid, K, xi0)
+    solver = NonlinearChannelSolver(p, grid, K, xi0) if solver is None else solver
     zero = ForceField.zero(xi0, K, grid) if force is None else force
     force_modes = zero.modes()
     worst = 0.0
@@ -282,18 +284,8 @@ def random_force(rng, grid, K, xi0, amplitude):
     """
     y = grid.nodes
     shapes = np.array([y**j for j in range(5)])
-
-    def component():
-        modes = np.zeros((2 * K + 1, grid.N + 1), dtype=complex)
-        for k in range(K + 1):
-            c = rng.normal(size=5) + (1j * rng.normal(size=5) if k else 0.0)
-            vals = (c * 0.5**k) @ shapes
-            modes[K + k] = vals
-            modes[K - k] = np.conj(vals)
-        return synthesize(modes, xi0, K)
-
-    f = component()
-    g = component()
+    f = synthesize(_random_modes(rng, shapes, K, 0.5), xi0, K)
+    g = synthesize(_random_modes(rng, shapes, K, 0.5), xi0, K)
     raw = ForceField(xi0, K, grid, f, g)
     nrm = raw.l2_norm()
     if nrm == 0.0:
@@ -302,10 +294,13 @@ def random_force(rng, grid, K, xi0, amplitude):
     return ForceField(xi0, K, grid, f * s, g * s)
 
 
-def measure_kappa0(p, grid, K, xi0, n_samples=12, seed=0):
-    """Linear solvability constant: sup (||v||_H2 + ||grad q||_L2) / ||f||_L2."""
+def measure_kappa0(p, grid, K, xi0, n_samples=12, seed=0, solver=None):
+    """Linear solvability constant: sup (||v||_H2 + ||grad q||_L2) / ||f||_L2.
+
+    ``solver``: a ``LinearizedChannelSolver`` of the same (p, grid, K, xi0), if held.
+    """
     rng = np.random.default_rng(seed)
-    solver = LinearizedChannelSolver(p, grid, K, xi0)
+    solver = LinearizedChannelSolver(p, grid, K, xi0) if solver is None else solver
     worst = 0.0
     for _ in range(n_samples):
         force = random_force(rng, grid, K, xi0, 1.0)
@@ -320,11 +315,13 @@ def measure_c1(grid, K, xi0, n_pairs=12, seed=0):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_pairs):
-        u = random_field(rng, grid, K, xi0, rng.uniform(0.5, 2.0))
-        w = random_field(rng, grid, K, xi0, rng.uniform(0.5, 2.0))
+        u_h2 = rng.uniform(0.5, 2.0)
+        u = random_field(rng, grid, K, xi0, u_h2)
+        w_h2 = rng.uniform(0.5, 2.0)
+        w = random_field(rng, grid, K, xi0, w_h2)
         a1, a2 = advection_modes(u, w)
         adv = math.sqrt(_cell_l2sq(a1, xi0, grid) + _cell_l2sq(a2, xi0, grid))
-        worst = max(worst, adv / (field_h_norm(u, 2) * field_h_norm(w, 2)))
+        worst = max(worst, adv / (u_h2 * w_h2))
     return float(worst)
 
 

@@ -44,12 +44,9 @@ from .profiles import Profile, check_admissibility
 from .spectral import build_grid, chebyshev_nodes, clenshaw_curtis_weights
 
 __all__ = [
-    "SpectrumResult",
-    "NeutralPoint",
     "os_spectrum",
     "leading_eigenvalue",
     "verify_energy_identity",
-    "small_at_certificate",
     "neutral_search",
     "kernel_witness",
 ]
@@ -227,8 +224,8 @@ class SpectrumResult:
         return lift_eigenfunction(self._vectors[:, i], self.N)
 
 
-def os_spectrum(A, T, grid, with_vectors=True):
-    """Two-resolution spectrum of the eigen-pencil at (A, T).
+def os_spectrum(A, T, N, with_vectors=True):
+    """Two-resolution spectrum of the eigen-pencil at (A, T) and degree N.
 
     An eigenvalue is resolved when the computations at N and 3N/2 agree to
     1e-6 relative; anything else is discarded as spurious.  Fewer than 10
@@ -236,7 +233,6 @@ def os_spectrum(A, T, grid, with_vectors=True):
     """
     if T <= 0.0:
         raise DomainError("wavenumber T must be positive")
-    N = grid.N
     N2 = (3 * N) // 2
     if with_vectors:
         base, vecs = _eig(A, T, N, with_vectors=True)
@@ -298,19 +294,6 @@ def verify_energy_identity(A, T, eigfun, lam):
     # sides vanish (e.g. the self-adjoint pencil at A = 0)
     scale = i2 + (2.0 * T**2 + abs(lam)) * i1 + (T**4 + abs(lam) * T**2) * i0 + abs(rhs)
     return float(abs(lhs - rhs) / scale) if scale > 0.0 else 0.0
-
-
-def small_at_certificate(AT_bound, samples, grid):
-    """True iff every sampled (A, T) with |A T| <= AT_bound is stable."""
-    if AT_bound <= 0.0:
-        raise DomainError("AT_bound must be positive")
-    for A, T in samples:
-        if abs(A * T) > AT_bound:
-            continue
-        res = os_spectrum(A, T, grid, with_vectors=False)
-        if res.leading.real >= 0.0:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

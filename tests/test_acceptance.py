@@ -317,7 +317,6 @@ def test_criterion_06_symmetry_transport(grid48):
 
 def test_criterion_07_small_amplitude_stability():
     t0 = time.time()
-    grid = build_grid(120)
     samples = [
         (-0.5 * s / t, t)
         for s in (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -325,7 +324,7 @@ def test_criterion_07_small_amplitude_stability():
     ]
     leaders = []
     for A, T in samples:
-        res = os_spectrum(A, T, grid, with_vectors=False)
+        res = os_spectrum(A, T, 120, with_vectors=False)
         leaders.append(res.leading.real)
     elapsed = time.time() - t0
     ok = len(samples) == 25 and max(leaders) < 0.0 and elapsed < 60.0

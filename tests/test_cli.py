@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,11 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
-from cpflow import cli
+from cpflow import cli, nonlinear, spectral, spectrum
 from cpflow.cli import main
 from cpflow.errors import ConfigError
 from cpflow.forcing import compile_expression
-from cpflow.spectral import build_grid
 from cpflow.spectrum import os_spectrum
 
 
@@ -120,6 +120,95 @@ class TestSolveMode:
         assert (tmp_path / "solve-mode.json").exists()
 
 
+PROFILE_KEYS = {"A", "B", "C", "profile", "flux", "shear"}
+COMMON_KEYS = {"command", "config", "N", "K", "xi0", "tol", "max_iter", "seed", "output", "format"}
+FORCE_KEYS = {"f", "g"}
+
+
+class TestParser:
+    # each command's argv with its required flags, and the namespace it parses to
+    NAMESPACES = {
+        ("solve-mode", "--xi", "1"): PROFILE_KEYS | COMMON_KEYS | {"xi", "h"},
+        ("solve-linear",): PROFILE_KEYS | COMMON_KEYS | FORCE_KEYS,
+        ("solve-nonlinear",): PROFILE_KEYS | COMMON_KEYS | FORCE_KEYS | {"delta", "symmetry"},
+        ("spectrum", "--A", "-0.2", "--T", "1"): COMMON_KEYS | {"A", "T"},
+        ("neutral-search",): COMMON_KEYS | {"reA_min", "reA_max", "T_min", "T_max", "N_check"},
+        ("verify-estimates",): PROFILE_KEYS | COMMON_KEYS,
+        ("symmetry-check",): PROFILE_KEYS | COMMON_KEYS,
+        ("regression", "--baseline", "b.json"): PROFILE_KEYS | COMMON_KEYS | {"baseline", "record"},
+    }
+
+    @pytest.mark.parametrize("argv", list(NAMESPACES), ids=lambda argv: argv[0])
+    def test_one_subparser_per_command(self, argv):
+        ap = cli.build_parser(argv)
+        sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == [argv[0]]
+        assert set(vars(ap.parse_args(argv))) == self.NAMESPACES[argv]
+        assert vars(ap.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    def test_help_lists_every_command(self, capsys):
+        assert run_cli(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(cmd in out for cmd in cli.COMMANDS) and len(cli.COMMANDS) == 8
+
+    def test_command_help_lists_its_flags(self, capsys):
+        assert run_cli(["spectrum", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--A A" in out and "--T T" in out and "--flux" not in out
+
+    def test_version_exits_zero(self, capsys):
+        assert run_cli(["--version"]) == 0
+        assert capsys.readouterr().out.strip() == f"cpflow {cli.__version__}"
+
+    def test_bad_command_lists_every_command(self, capsys):
+        assert run_cli(["bogus", "--N", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err and all(cmd in err for cmd in cli.COMMANDS)
+
+
+class TestWorkCounts:
+    """Solver builds and grid builds per command, counted at the class and function."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        solvers = []
+
+        class Counting(nonlinear.LinearizedChannelSolver):
+            def __init__(self, *args, **kwargs):
+                solvers.append(args[2])  # K
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(nonlinear, "LinearizedChannelSolver", Counting)
+        monkeypatch.setattr(cli, "LinearizedChannelSolver", Counting)
+        return solvers
+
+    def test_one_solver_per_solve_nonlinear(self, tmp_path, built):
+        argv = ["solve-nonlinear", "--profile", "poiseuille", "--N", "32", "--K", "4",
+                "--f", "0.01*sin(x)", "--output", str(tmp_path / "nl.json")]
+        assert run_cli(argv) == 0
+        assert built == [4]
+
+    def test_one_solver_per_regression(self, tmp_path, built):
+        argv = ["regression", "--baseline", str(tmp_path / "b.json"), "--record", "--N", "40",
+                "--K", "4", "--output", str(tmp_path / "reg.json")]
+        assert run_cli(argv) == 0
+        assert built == [4]
+
+    def test_spectrum_builds_no_grid(self, tmp_path, monkeypatch):
+        argv = ["spectrum", "--A", "-0.2", "--T", "1.0", "--N", "40", "--output", str(tmp_path / "s.json")]
+        assert run_cli(argv) == 0  # fills the per-degree operator cache
+        calls = []
+
+        def counting(N):
+            calls.append(N)
+            return spectral.build_grid(N)
+
+        for module in (cli, spectrum):
+            monkeypatch.setattr(module, "build_grid", counting)
+        assert run_cli(argv) == 0
+        assert calls == []
+
+
 class TestConfigFile:
     def test_config_sets_defaults_flags_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -179,7 +268,7 @@ class TestSpectrumCommand:
         out = tmp_path / "eigs.json"
         assert run_cli(["spectrum", "--A", "-0.3", "--T", "0.8", "--N", "48",
                         "--output", str(out)]) == 0
-        res = os_spectrum(-0.3, 0.8, build_grid(48), with_vectors=False)
+        res = os_spectrum(-0.3, 0.8, 48, with_vectors=False)
         want = "re,im,resolved\n" + "".join(
             f"{lam.real:.17g},{lam.imag:.17g},{int(ok)}\n"
             for lam, ok in zip(res.raw, res.resolved_mask))
@@ -247,6 +336,31 @@ class TestSolveNonlinear:
         res = load_payload(out)[0]["results"]
         assert res["converged"]
         assert res["curl_residual"] <= 1e-7
+
+    def test_x1_symmetry_class_with_a_force_is_config_error(self, tmp_path, monkeypatch):
+        # the F d/dx term of every forced linear solve leaves X1, so the projected
+        # iteration stalled (exit 0, converged false, residual 3.2e-2)
+        def measured_ball(*args):
+            raise AssertionError("ball measured before the config check")
+
+        monkeypatch.setattr(cli, "_measured_ball", measured_ball)
+        code = run_cli(
+            ["solve-nonlinear", "--profile", "poiseuille", "--flux", "2", "--N", "32",
+             "--K", "4", "--symmetry", "X1", "--f", "0.02*cos(x)*(1-y**2)", "--g", "0.0*y",
+             "--output", str(tmp_path / "nl.json")]
+        )
+        assert code == 2
+        assert not (tmp_path / "nl.json").exists()
+
+    def test_x1_symmetry_class_without_a_force_converges(self, tmp_path):
+        out = tmp_path / "nl.json"
+        code = run_cli(
+            ["solve-nonlinear", "--profile", "poiseuille", "--flux", "2", "--N", "32",
+             "--K", "4", "--symmetry", "X1", "--f", "0.0*y", "--g", "0.0*cos(x)",
+             "--output", str(out)]
+        )
+        assert code == 0
+        assert load_payload(out)[0]["results"]["converged"]
 
     def test_y2_symmetry_class_is_gone(self, tmp_path):
         # the map sends Y2 data into Y1, so a Y2-projected iteration cannot converge

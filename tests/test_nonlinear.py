@@ -7,6 +7,7 @@ from numpy.polynomial import Polynomial
 from cpflow.channel import (
     ChannelField,
     ForceField,
+    _random_modes,
     analyze,
     field_h_norm,
     random_field,
@@ -29,7 +30,7 @@ from cpflow.nonlinear import (
 )
 from cpflow.os_solver import solve_os_zero_mode
 from cpflow.profiles import Profile, poiseuille_for_flux
-from cpflow.spectral import GridFunction
+from cpflow.spectral import GridFunction, build_grid
 from manufactured import ModePoly, nonlinear_force
 
 POISEUILLE = poiseuille_for_flux(4.0)
@@ -407,3 +408,57 @@ class TestPicardLoopReference:
         w = u if same else random_field(rng, grid48, 8, 1.3, 1.0)
         for got, want in zip(advection_modes(u, w), six_field_advection(u, w)):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def loop_modes(rng, shapes, K, decay):
+    """Reference draw: one pair of rng calls per mode k = 0..K, as the draws were first written."""
+    modes = np.zeros((2 * K + 1, shapes.shape[1]), dtype=complex)
+    for k in range(K + 1):
+        c = rng.normal(size=len(shapes)) + (1j * rng.normal(size=len(shapes)) if k else 0.0)
+        vals = (c * decay**k) @ shapes
+        modes[K + k] = vals
+        modes[K - k] = np.conj(vals)
+    return modes
+
+
+class TestBallDraws:
+    """One rng call per drawn component, in the stream order of the per-mode loop."""
+
+    @pytest.mark.parametrize("N, K", [(32, 4), (96, 32)])
+    def test_draw_matches_loop_reference(self, N, K):
+        y = build_grid(N).nodes
+        for shapes, decay in ((np.array([y**j for j in range(5)]), 0.5),
+                              (np.array([(1.0 - y**2) ** 2 * y**j for j in range(4)]), 0.6)):
+            rng, ref_rng = np.random.default_rng(N), np.random.default_rng(N)
+            got, want = _random_modes(rng, shapes, K, decay), loop_modes(ref_rng, shapes, K, decay)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            assert rng.uniform() == ref_rng.uniform()  # the stream is left where the loop left it
+
+    @pytest.mark.parametrize("N, K", [(32, 4), (96, 32)])
+    def test_force_and_field_match_loop_reference(self, N, K):
+        grid, xi0 = build_grid(N), 1.3
+        y = grid.nodes
+        rng, ref_rng = np.random.default_rng(K), np.random.default_rng(K)
+        force = random_force(rng, grid, K, xi0, 2.0)
+        fld = random_field(rng, grid, K, xi0, 1.5)
+        shapes = np.array([y**j for j in range(5)])
+        f, g = (synthesize(loop_modes(ref_rng, shapes, K, 0.5), xi0, K) for _ in range(2))
+        s = 2.0 / ForceField(xi0, K, grid, f, g).l2_norm()
+        for got, want in ((force.f, f * s), (force.g, g * s)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        shapes = np.array([(1.0 - y**2) ** 2 * y**j for j in range(4)])
+        ref = ChannelField(xi0, K, grid, loop_modes(ref_rng, shapes, K, 0.6))
+        want = ref.scaled(1.5 / field_h_norm(ref, 2)).psi_modes
+        # the H^2 norm's third y-derivatives amplify last-bit differences of the
+        # draw into its scale: 2.2e-14 measured at N = 96
+        assert np.abs(fld.psi_modes - want).max() <= 1e-13 * np.abs(want).max()
+        assert rng.uniform() == ref_rng.uniform()
+
+    def test_held_solver_gives_the_same_constants(self, grid32):
+        solver = NonlinearChannelSolver(POISEUILLE, grid32, 4, 1.0)
+        k0 = measure_kappa0(POISEUILLE, grid32, 4, 1.0, n_samples=6, seed=5)
+        assert measure_kappa0(POISEUILLE, grid32, 4, 1.0, n_samples=6, seed=5,
+                              solver=solver.linear) == k0
+        ratio = measure_contraction(POISEUILLE, None, 10.0, grid32, 4, 1.0, n_pairs=4, seed=7)
+        assert measure_contraction(POISEUILLE, None, 10.0, grid32, 4, 1.0, n_pairs=4, seed=7,
+                                   solver=solver) == ratio

@@ -11,7 +11,6 @@ from cpflow.spectrum import (
     leading_eigenvalue,
     neutral_search,
     os_spectrum,
-    small_at_certificate,
     verify_energy_identity,
 )
 
@@ -36,19 +35,27 @@ def poiseuille_phase_speeds(reynolds, alpha, N):
     return sla.eigvals(L, -1j * alpha * reynolds * B, check_finite=False)
 
 
-@pytest.fixture(scope="module")
-def grid120():
-    return build_grid(120)
+def small_at_certificate(AT_bound, samples, N):
+    """True iff every sampled (A, T) with |A T| <= AT_bound is stable at degree N."""
+    if AT_bound <= 0.0:
+        raise DomainError("AT_bound must be positive")
+    for A, T in samples:
+        if abs(A * T) > AT_bound:
+            continue
+        res = os_spectrum(A, T, N, with_vectors=False)
+        if res.leading.real >= 0.0:
+            return False
+    return True
 
 
 class TestSpectrum:
-    def test_self_adjoint_limit_is_real_negative(self, grid120):
-        res = os_spectrum(0.0, 1.0, grid120, with_vectors=False)
+    def test_self_adjoint_limit_is_real_negative(self):
+        res = os_spectrum(0.0, 1.0, 120, with_vectors=False)
         assert np.abs(res.eigenvalues.imag).max() <= 1e-8
         assert res.eigenvalues.real.max() < -1.0
 
-    def test_small_amplitude_stable(self, grid120):
-        res = os_spectrum(-0.1, 1.0, grid120, with_vectors=False)
+    def test_small_amplitude_stable(self):
+        res = os_spectrum(-0.1, 1.0, 120, with_vectors=False)
         assert res.leading.real < 0.0
         assert res.n_resolved >= 10
 
@@ -80,60 +87,59 @@ class TestSpectrum:
 
     def test_resolution_failure_raises(self):
         with pytest.raises(ResolutionError):
-            os_spectrum(-CRIT_RE / 3.0, 1.0, build_grid(24), with_vectors=False)
+            os_spectrum(-CRIT_RE / 3.0, 1.0, 24, with_vectors=False)
 
-    def test_continuity_in_amplitude(self, grid120):
+    def test_continuity_in_amplitude(self):
         amps = np.linspace(100.0, 400.0, 7)
         lams = [leading_eigenvalue(-a / 3.0, 1.0, 120) for a in amps]
         steps = np.abs(np.diff(lams))
         d_amp = amps[1] - amps[0]
         assert steps.max() <= 2.0 * d_amp  # no jumps beyond the tracked scale
 
-    def test_nonpositive_wavenumber_rejected(self, grid120):
+    def test_nonpositive_wavenumber_rejected(self):
         with pytest.raises(DomainError):
-            os_spectrum(-1.0, 0.0, grid120)
+            os_spectrum(-1.0, 0.0, 120)
 
 
 class TestEnergyIdentity:
-    def test_resolved_pairs(self, grid120):
-        res = os_spectrum(-2.0, 1.3, grid120)
+    def test_resolved_pairs(self):
+        res = os_spectrum(-2.0, 1.3, 120)
         for i in (0, 2, 5):
             r = verify_energy_identity(res.A, res.T, res.eigenfunction(i), res.eigenvalues[i])
             assert r <= 1e-8
 
-    def test_scaling_invariance(self, grid120):
-        res = os_spectrum(-2.0, 1.3, grid120)
+    def test_scaling_invariance(self):
+        res = os_spectrum(-2.0, 1.3, 120)
         phi, d1, d2 = res.eigenfunction(0)
         r1 = verify_energy_identity(res.A, res.T, (phi, d1, d2), res.eigenvalues[0])
         r2 = verify_energy_identity(res.A, res.T, (2 * phi, 2 * d1, 2 * d2), res.eigenvalues[0])
         assert r2 == pytest.approx(r1, rel=1e-10)
 
-    def test_self_adjoint_case(self, grid120):
-        res = os_spectrum(0.0, 1.0, grid120)
+    def test_self_adjoint_case(self):
+        res = os_spectrum(0.0, 1.0, 120)
         r = verify_energy_identity(0.0, 1.0, res.eigenfunction(0), res.eigenvalues[0])
         assert r <= 1e-10
 
 
 class TestCertificate:
-    def test_small_band_is_stable(self, grid120):
+    def test_small_band_is_stable(self):
         samples = [
             (-a / 3.0, t)
             for a in np.linspace(0.05, 1.45, 5)
             for t in np.linspace(0.3, 1.5, 5)
         ]
-        assert small_at_certificate(0.5, samples, grid120)
+        assert small_at_certificate(0.5, samples, 120)
 
     def test_unstable_point_fails_certificate(self):
-        grid = build_grid(160)
         samples = [(-10000.0 / 3.0, 1.0), (-1924.0, 1.02)]
-        assert not small_at_certificate(4000.0, samples, grid)
+        assert not small_at_certificate(4000.0, samples, 160)
 
-    def test_zero_amplitude_trivially_stable(self, grid120):
-        assert small_at_certificate(0.5, [(0.0, t) for t in (0.5, 1.0, 1.5)], grid120)
+    def test_zero_amplitude_trivially_stable(self):
+        assert small_at_certificate(0.5, [(0.0, t) for t in (0.5, 1.0, 1.5)], 120)
 
-    def test_bound_must_be_positive(self, grid120):
+    def test_bound_must_be_positive(self):
         with pytest.raises(DomainError):
-            small_at_certificate(-1.0, [], grid120)
+            small_at_certificate(-1.0, [], 120)
 
 
 class TestSensitivity:
@@ -247,15 +253,14 @@ class TestParitySplit:
         # (the dense path and its transposed twin B^-T L^T differ by up to
         # 1.2e-10 relative on these draws, the folded path by 1.5e-10)
         rng = np.random.default_rng(2024)
-        grid = build_grid(120)
         draws = []
         for _ in range(30):
             T = float(rng.uniform(0.5, 2.0))
             draws.append((-float(rng.uniform(0.05, 0.5)) / T, T))
-        folded = [os_spectrum(A, T, grid, with_vectors=False) for A, T in draws]
+        folded = [os_spectrum(A, T, 120, with_vectors=False) for A, T in draws]
         monkeypatch.setattr(spectrum, "_eig", dense_eig)
         for (A, T), got in zip(draws, folded):
-            want = os_spectrum(A, T, grid, with_vectors=False)
+            want = os_spectrum(A, T, 120, with_vectors=False)
             assert got.n_resolved == want.n_resolved
             assert abs(got.leading - want.leading) <= 1e-9 * abs(want.leading)
 
@@ -338,7 +343,7 @@ class TestNeutralSearch:
 
 
 class TestKernelWitness:
-    def test_admissible_profiles_bounded_away_from_zero(self, grid120):
+    def test_admissible_profiles_bounded_away_from_zero(self):
         g200 = build_grid(200)
         for p in (poiseuille_for_flux(4.0), Profile(0.0, 1.0, 1.0)):
             for xi in (0.7, 1.02056):
