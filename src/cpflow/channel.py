@@ -53,6 +53,15 @@ def n_x_points(K):
     return 4 * (K + 1)
 
 
+def product_points(K):
+    """x-points of the dealiased products: the smallest 5-smooth n >= ``n_x_points(K)``
+    (products of K-band fields are exact from 3K + 1 points on, Orszag's 3/2 rule)."""
+    n = n_x_points(K)
+    while pow(30, 64, n):  # zero iff n divides 30^64: no prime factor above 5
+        n += 1
+    return n
+
+
 def x_grid(xi0, K):
     Mx = n_x_points(K)
     period = 2.0 * math.pi / xi0
@@ -66,8 +75,18 @@ def synthesize(modes, xi0, K):
     whatever xi0, and the real part of the sum is the inverse real FFT of
     the Hermitian part d_k = (c_k + conj c_-k) / 2, k = 0..K.
     """
-    half = 0.5 * (modes[..., K:, :] + np.conj(modes[..., K::-1, :]))
-    return np.fft.irfft(half, n=n_x_points(K), axis=-2, norm="forward")
+    return np.fft.irfft(_half(modes, K), n=n_x_points(K), axis=-2, norm="forward")
+
+
+def _half(modes, K):
+    """Hermitian half d_k = (c_k + conj c_-k) / 2, k = 0..K, of modes k = -K..K on axis -2;
+    on a real field (mode -k the conjugate of mode k) d_k is c_k bit for bit."""
+    return 0.5 * (modes[..., K:, :] + np.conj(modes[..., K::-1, :]))
+
+
+def _mirror(half):
+    """Modes k = -K..K of the real field whose modes k = 0..K are ``half`` (axis -2)."""
+    return np.concatenate([np.conj(half[..., :0:-1, :]), half], axis=-2)
 
 
 def analyze(values, K):
@@ -85,8 +104,7 @@ def analyze(values, K):
     total = energy.sum(axis=-1)
     lost = np.maximum(total - energy[..., : K + 1].sum(axis=-1), 0.0)
     tail = np.divide(lost, total, out=np.zeros_like(total), where=total > 0.0)
-    modes = np.concatenate([np.conj(half[..., K:0:-1, :]), half[..., : K + 1, :]], axis=-2)
-    return modes, tail
+    return _mirror(half[..., : K + 1, :]), tail
 
 
 @dataclass(frozen=True)
@@ -116,10 +134,16 @@ class ForceField:
         return cls(xi0, K, grid, np.zeros(shape), np.zeros(shape))
 
     def modes(self):
-        """Per-mode coefficients with a resolution check on the tail."""
+        """Per-mode coefficients with a resolution check on the tail (analyzed once)."""
+        fm, gm = _mirror(self._half_modes)
+        return fm, gm
+
+    @cached_property
+    def _half_modes(self):
+        """Modes k = 0..K of (f, g): a held force keeps half the full layout."""
         try:
             with np.errstate(over="raise"):
-                (fm, gm), tails = analyze(np.stack([self.f, self.g]), self.K)
+                modes, tails = analyze(np.stack([self.f, self.g]), self.K)
         except FloatingPointError:
             raise DomainError("force energy overflows float64; scale the force down") from None
         tail = float(tails.max())
@@ -129,7 +153,7 @@ class ForceField:
                 f"force not resolved by modes |k| <= {self.K}: "
                 f"tail energy fraction {tail:.3e}"
             )
-        return fm, gm
+        return modes[:, self.K :].copy()
 
     def l2_norm(self):
         """L2 norm of the vector force over one periodic cell."""
@@ -165,12 +189,6 @@ class ChannelField:
     # --- mode access -------------------------------------------------
     def mode(self, k):
         return self.psi_modes[k + self.K]
-
-    def conjugate_symmetry_error(self):
-        err = 0.0
-        for k in range(self.K + 1):
-            err = max(err, float(np.abs(self.mode(-k) - np.conj(self.mode(k))).max()))
-        return err
 
     def v_modes(self):
         return self.psi_modes @ self.grid.D1.T
@@ -220,41 +238,25 @@ class ChannelField:
         return cls(xi0, K, grid, np.zeros((2 * K + 1, grid.N + 1), dtype=complex))
 
 
-def _derivative_mode_sets(modes, xi0, K, grid, m):
-    """Arrays of d^alpha applied mode-wise, one entry per multi-index |alpha| <= m."""
-    ks = np.arange(-K, K + 1)
-    ikx = (1j * xi0 * ks)[:, None]
-    out = []
-    D = {0: None, 1: grid.D1, 2: grid.D2}
-    for total in range(m + 1):
-        for b in range(total + 1):
-            a = total - b
-            arr = modes if b == 0 else modes @ D[b].T
-            if a:
-                arr = arr * ikx**a
-            out.append(arr)
-    return out
-
-
-def _cell_l2sq(modes, xi0, grid):
-    """Squared L2 norm over one periodic cell from mode coefficients."""
+def _cell_l2sq(modes, xi0, grid, mult=1.0):
+    """Squared L2 norm over one periodic cell from mode coefficients, row j taken mult[j] times."""
     period = 2.0 * math.pi / xi0
-    return period * float((np.abs(modes) ** 2 @ grid.quad_weights).sum().real)
+    return period * float((mult * (np.abs(modes) ** 2 @ grid.quad_weights)).sum())
 
 
-def _y_stack(fld):
-    """y-derivatives as real products: X = [Re psi; Im psi], R1 = X [D1^T | D2^T] =
-    [D1 psi | D2 psi], R2 = R1[:, :n] [D1^T | D2^T] = [D1 v | D2 v], v = D1 psi."""
-    grid, n, pm = fld.grid, fld.grid.N + 1, fld.psi_modes
+def _y_stack(rows, grid):
+    """y-derivatives of mode rows as real products: X = [Re rows; Im rows],
+    R1 = X [D1^T | D2^T] = [D1 psi | D2 psi], R2 = R1[:, :n] [D1^T | D2^T] =
+    [D1 v | D2 v] with psi the rows and v = D1 psi."""
     dy = np.concatenate([grid.D1.T, grid.D2.T], axis=1)
-    X = np.concatenate([pm.real, pm.imag])
+    X = np.concatenate([rows.real, rows.imag])
     R1 = X @ dy
-    return X, R1, R1[:, :n] @ dy
+    return X, R1, R1[:, : grid.N + 1] @ dy
 
 
-def _stack_h_norm(stack, fld, m):
-    """``field_h_norm`` from a y-derivative stack laid out like ``fld``."""
-    grid, n, nk = fld.grid, fld.grid.N + 1, 2 * fld.K + 1
+def _stack_h_norm(stack, grid, xi0, ks, mult, m):
+    """``field_h_norm`` from the y-stack of mode rows k = ``ks``, row j counted mult[j] times."""
+    n, nk = grid.N + 1, len(ks)
 
     def sq(A):  # quadrature-weighted squares per block and mode
         A = A.reshape(len(A), -1, n)
@@ -262,13 +264,19 @@ def _stack_h_norm(stack, fld, m):
         return s[:, :nk] + s[:, nk:]
 
     (psi,), (psi_y, psi_yy), (v_y, v_yy) = (sq(A) for A in stack)
-    kappa2 = (fld.xi0 * np.arange(-fld.K, fld.K + 1)) ** 2
+    kappa2 = (xi0 * ks) ** 2
     v_sq, psi_sq = (psi_y, v_y, v_yy), (psi, psi_y, psi_yy)
     total = 0.0
     for b in range(m + 1):
-        c_b = sum(kappa2**a for a in range(m - b + 1))
+        c_b = mult * sum(kappa2**a for a in range(m - b + 1))
         total += float(c_b @ (v_sq[b] + kappa2 * psi_sq[b]))
-    return math.sqrt(2.0 * math.pi / fld.xi0 * total)
+    return math.sqrt(2.0 * math.pi / xi0 * total)
+
+
+def _half_h_norm(stack, fld, m):
+    """``field_h_norm`` of a real field laid out like ``fld``, from the ``_y_stack`` of its half."""
+    mult = np.r_[1.0, np.full(fld.K, 2.0)]  # modes k and -k
+    return _stack_h_norm(stack, fld.grid, fld.xi0, np.arange(fld.K + 1), mult, m)
 
 
 def field_h_norm(fld, m):
@@ -278,12 +286,13 @@ def field_h_norm(fld, m):
     kappa = k xi0, so y-derivative order b carries the weight
     c_b = sum_{a <= m - b} kappa^(2a); and w = -i kappa psi gives
     ||D_b w_k||^2 = kappa^2 ||D_b psi_k||^2.  The y-derivatives of psi and
-    of v = D1 psi come from ``_y_stack``, which the Picard loop forms once
-    per iterate for this norm, the increment and the next advection.
+    of v = D1 psi come from ``_y_stack``; the Picard loop forms the stack of
+    the Hermitian half once per iterate for the norm, the increment and the next advection.
     """
     if not 0 <= m <= 2:
         raise DomainError("field Sobolev order limited to 0..2")
-    return _stack_h_norm(_y_stack(fld), fld, m)
+    ks = np.arange(-fld.K, fld.K + 1)
+    return _stack_h_norm(_y_stack(fld.psi_modes, fld.grid), fld.grid, fld.xi0, ks, 1.0, m)
 
 
 class LinearizedChannelSolver:
@@ -439,12 +448,16 @@ def x_norm(fld, m, scalar_modes=None):
     """
     if not 0 <= m <= 2:
         raise DomainError("window Sobolev order limited to 0..2")
-    offsets = fld.x()
-    sets = []
-    comps = [scalar_modes] if scalar_modes is not None else [fld.v_modes(), fld.w_modes()]
-    for comp in comps:
-        sets.extend(_derivative_mode_sets(comp, fld.xi0, fld.K, fld.grid, m))
-    vals = _window_quadratic(sets, fld.xi0, fld.K, fld.grid, offsets, 1.0)
+    K, nk, n = fld.K, 2 * fld.K + 1, fld.grid.N + 1
+    ikx = (1j * fld.xi0 * np.arange(-K, K + 1))[:, None]
+    rows = fld.psi_modes if scalar_modes is None else scalar_modes
+    X, R1, R2 = (A[:nk] + 1j * A[nk:] for A in _y_stack(rows, fld.grid))
+    psi = (X, R1[:, :n], R1[:, n:])  # y-derivatives 0..2 of the rows
+    v = (R1[:, :n], R2[:, :n], R2[:, n:])  # of v = D1 psi
+    comps = [psi] if scalar_modes is not None else [v, [-ikx * d for d in psi]]  # w = -i kappa psi
+    sets = [dy[b] if b == total else dy[b] * ikx ** (total - b)  # d_x^a d_y^b, a + b <= m
+            for dy in comps for total in range(m + 1) for b in range(total + 1)]
+    vals = _window_quadratic(sets, fld.xi0, K, fld.grid, fld.x(), 1.0)
     return float(np.sqrt(vals.max()))
 
 
@@ -594,8 +607,7 @@ def _random_modes(rng, shapes, K, decay):
     z = rng.normal(size=m * (2 * K + 1))
     ab = z[m:].reshape(K, 2, m)
     c = np.vstack([z[:m], ab[:, 0] + 1j * ab[:, 1]])
-    vals = (c * decay ** np.arange(K + 1)[:, None]) @ shapes
-    return np.concatenate([np.conj(vals[:0:-1]), vals])
+    return _mirror((c * decay ** np.arange(K + 1)[:, None]) @ shapes)
 
 
 def random_field(rng, grid, K, xi0, h2_norm):

@@ -174,7 +174,13 @@ def _apply_config_file(ap, argv):
     for action in sp._actions:
         if action.dest in pairs:
             raw = pairs.pop(action.dest)
-            typed[action.dest] = action.type(raw) if action.type else raw
+            try:  # the conversion and choices check a flag's value gets
+                value = action.type(raw) if action.type else raw
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"not one of {list(action.choices)}")
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"config value {action.dest}={raw!r}: {exc}") from None
+            typed[action.dest] = value
     if pairs:
         raise ConfigError(f"unknown config keys: {sorted(pairs)}")
     sp.set_defaults(**typed)

@@ -17,11 +17,13 @@ from .channel import (
     ForceField,
     LinearizedChannelSolver,
     _cell_l2sq,
+    _half,
+    _half_h_norm,
+    _mirror,
     _random_modes,
-    _stack_h_norm,
     _y_stack,
-    analyze,
     field_h_norm,
+    product_points,
     random_field,
     recover_pressure_gradient,
     symmetry_project,
@@ -81,23 +83,28 @@ class PicardTrace:
 def advection_modes(fld_a, fld_b, stack_b=None):
     """(a . grad) b evaluated pseudo-spectrally with alias-safe padding.
 
-    The tensor grid carries 4(K+1) >= 3K + 2 points in x, so quadratic
-    products of K-band fields project exactly onto the kept modes.  v_b and
-    D1 v_b come from b's y-derivative stack (``stack_b`` if the caller holds
-    it), and w_y = -v_x for any field, so five transforms carry six factors.
-    Returns the two component coefficient arrays in the k = -K..K layout.
+    Both fields are real, so the work runs on their Hermitian halves
+    k = 0..K, and the quadratic products on ``product_points(K)`` >= 3K + 1
+    points in x, where they project exactly onto the kept modes.  b's
+    y-derivative stack of the half (``stack_b`` if the caller holds it) gives
+    psi_b, v_b and D1 v_b, and w_y = -v_x for any field, so five transforms
+    carry six factors.  Returns the two component coefficient arrays in the
+    k = -K..K layout.
     """
-    K, nk, n = fld_a.K, 2 * fld_a.K + 1, fld_a.grid.N + 1
-    ks = np.arange(-K, K + 1)
-    ikx = (1j * fld_a.xi0 * ks)[:, None]
-    _X, R1, R2 = _y_stack(fld_b) if stack_b is None else stack_b
-    vb_m, vby_m = (R[:nk, :n] + 1j * R[nk:, :n] for R in (R1, R2))
-    wb_m = fld_b.w_modes()
-    va_m, wa_m = (vb_m, wb_m) if fld_a is fld_b else (fld_a.v_modes(), fld_a.w_modes())
-    stack = np.stack([va_m, wa_m, ikx * vb_m, vby_m, ikx * wb_m])
-    va, wa, vbx, vby, wbx = synthesize(stack, fld_a.xi0, K)
-    (a1_modes, a2_modes), _ = analyze(np.stack([va * vbx + wa * vby, va * wbx - wa * vbx]), K)
-    return a1_modes, a2_modes
+    K, grid, nh, n = fld_b.K, fld_b.grid, fld_b.K + 1, fld_b.grid.N + 1
+    ik = (1j * fld_b.xi0 * np.arange(K + 1))[:, None]
+    stack = _y_stack(_half(fld_b.psi_modes, K), grid) if stack_b is None else stack_b
+    psi_b, R1, R2 = (A[:nh] + 1j * A[nh:] for A in stack)
+    vb, vby, wb = R1[:, :n], R2[:, :n], -ik * psi_b
+    va, wa = vb, wb
+    if fld_a is not fld_b:
+        psi_a = _half(fld_a.psi_modes, K)
+        va, wa = psi_a @ grid.D1.T, -ik * psi_a
+    va, wa, vbx, vby, wbx = np.fft.irfft(np.stack([va, wa, ik * vb, vby, ik * wb]),
+                                         n=product_points(K), axis=-2, norm="forward")
+    prod = np.stack([va * vbx + wa * vby, va * wbx - wa * vbx])
+    a1, a2 = _mirror(np.fft.rfft(prod, axis=-2, norm="forward")[:, :nh])
+    return a1, a2
 
 
 def nonlinear_residual(p, fld, force_modes, floor=1e-300):
@@ -109,26 +116,28 @@ def nonlinear_residual(p, fld, force_modes, floor=1e-300):
         Lap^2 psi - [F (psi_xyy + psi_xxx) - 6A psi_x]
             + (psi_x Lap psi_y - psi_y Lap psi_x) = g_x - f_y.
 
-    Mode derivatives are exact and the quadratic term is dealiased; the
-    evaluation shares no state with the mode solves of the iteration but takes
-    their ``force.modes()``.  The residual norm is divided by max(||rhs||,
-    ||Lap^2 psi||, ``floor``).
+    Mode derivatives are exact and the quadratic term is dealiased on
+    ``product_points(K)``; field and force are real, so everything runs on
+    their Hermitian halves k = 0..K and the norms count each k >= 1 twice.
+    The evaluation shares no state with the mode solves of the iteration but
+    takes their ``force.modes()``.  The residual norm is divided by
+    max(||rhs||, ||Lap^2 psi||, ``floor``).
     """
     grid, K, xi0 = fld.grid, fld.K, fld.xi0
     F = p.F(grid.nodes)
-    ks = np.arange(-K, K + 1)
-    ikx = (1j * xi0 * ks)[:, None]
-    pm = fld.psi_modes
-    lap = pm @ grid.D2.T + ikx**2 * pm
-    lap2 = lap @ grid.D2.T + ikx**2 * lap
-    linear = lap2 - F[None, :] * (ikx * lap) + 6.0 * p.A * (ikx * pm)
-    stack = np.stack([ikx * pm, pm @ grid.D1.T, ikx * lap, lap @ grid.D1.T])
-    psix, psiy, lapx, lapy = synthesize(stack, xi0, K)
-    nl_modes, _ = analyze(psix * lapy - psiy * lapx, K)
-    f_modes, g_modes = force_modes
-    rhs = ikx * g_modes - f_modes @ grid.D1.T
-    res = linear + nl_modes - rhs
-    res_n, rhs_n, lap2_n = (math.sqrt(_cell_l2sq(m, xi0, grid)) for m in (res, rhs, lap2))
+    ik = (1j * xi0 * np.arange(K + 1))[:, None]
+    mult = np.r_[1.0, np.full(K, 2.0)]  # modes k and -k
+    pm = _half(fld.psi_modes, K)
+    lap = pm @ grid.D2.T + ik**2 * pm
+    lap2 = lap @ grid.D2.T + ik**2 * lap
+    linear = lap2 - F[None, :] * (ik * lap) + 6.0 * p.A * (ik * pm)
+    stack = np.stack([ik * pm, pm @ grid.D1.T, ik * lap, lap @ grid.D1.T])
+    psix, psiy, lapx, lapy = np.fft.irfft(stack, n=product_points(K), axis=-2, norm="forward")
+    nl = np.fft.rfft(psix * lapy - psiy * lapx, axis=-2, norm="forward")[: K + 1]
+    f_modes, g_modes = (_half(m, K) for m in force_modes)
+    rhs = ik * g_modes - f_modes @ grid.D1.T
+    res = linear + nl - rhs
+    res_n, rhs_n, lap2_n = (math.sqrt(_cell_l2sq(m, xi0, grid, mult)) for m in (res, rhs, lap2))
     return res_n / max(rhs_n, lap2_n, floor)
 
 
@@ -143,7 +152,7 @@ class NonlinearChannelSolver:
         self.xi0 = float(xi0)
 
     def picard_map(self, force_modes, w_fld, stack=None):
-        """One map application: solve with source f - (w . grad) w (``stack``: w's, if held)."""
+        """One map: solve with source f - (w . grad) w (``stack``: w's half y-stack, if held)."""
         f_modes, g_modes = force_modes
         if w_fld is None:
             return self.linear.solve_modes(f_modes, g_modes)
@@ -164,8 +173,9 @@ class NonlinearChannelSolver:
         marks a residual floor and stops the loop unconverged.  Leaving the
         ball raises :class:`BallEscapeError`; three consecutive
         non-contracting increments raise :class:`NonContractionError`.
-        One y-derivative stack per iterate gives its H^2 norm, the increment
-        (a difference of stacks) and the next advection; no field keeps one.
+        One y-derivative stack of the Hermitian half k = 0..K per iterate gives
+        its H^2 norm, the increment (a difference of stacks) and the next
+        advection; no field keeps one.
         """
         force_modes = force.modes()
 
@@ -175,7 +185,7 @@ class NonlinearChannelSolver:
             return fld
 
         w = project(self.picard_map(force_modes, None)) if w0 is None else project(w0)
-        sw = _y_stack(w)
+        sw = _y_stack(_half(w.psi_modes, self.K), self.grid)
         iterates = []
         prev_inc = None
         failed = None  # residual of a failed check at the previous step
@@ -186,9 +196,9 @@ class NonlinearChannelSolver:
         n_done = 0
         for n_done in range(1, cfg.max_iter + 1):
             v = project(self.picard_map(force_modes, w, sw))
-            sv = _y_stack(v)
-            inc = _stack_h_norm([a - b for a, b in zip(sv, sw)], v, 2)
-            nv = _stack_h_norm(sv, v, 2)
+            sv = _y_stack(_half(v.psi_modes, self.K), self.grid)
+            inc = _half_h_norm([a - b for a, b in zip(sv, sw)], v, 2)
+            nv = _half_h_norm(sv, v, 2)
             iterates.append((nv, inc))
             if nv > cfg.delta:
                 raise BallEscapeError(

@@ -5,7 +5,9 @@ from numpy.polynomial import Polynomial
 from cpflow import channel, os_solver
 from cpflow.channel import (
     ChannelField,
-    _derivative_mode_sets,
+    _half,
+    _half_h_norm,
+    _y_stack,
     export_field_csv,
     ForceField,
     LinearizedChannelSolver,
@@ -14,6 +16,7 @@ from cpflow.channel import (
     field_h_norm,
     gamma_energy,
     n_x_points,
+    product_points,
     random_field,
     recover_pressure_gradient,
     stream_cross_integrals,
@@ -96,7 +99,7 @@ class TestLinearizedSolve:
         for _ in range(3):
             force = random_force(rng, grid48, 6, 1.0, 1.0)
             fld = solver.solve(force)
-            assert fld.conjugate_symmetry_error() <= 1e-12
+            assert conjugate_symmetry_error(fld) <= 1e-12
             assert fld.divergence_max() <= 1e-10
             assert np.abs(fld.flux_profile()).max() <= 1e-12
             grad = recover_pressure_gradient(POISEUILLE, fld, force)
@@ -189,6 +192,11 @@ class TestBatchedSolve:
             assert len(built) == K + n and built[-1] == 0.0
 
 
+def conjugate_symmetry_error(fld):
+    """max over k of |mode -k - conj(mode k)|: zero on a real field."""
+    return max(float(np.abs(fld.mode(-k) - np.conj(fld.mode(k))).max()) for k in range(fld.K + 1))
+
+
 def loop_h_norm(fld, m):
     """Reference H^m norm: one mode-wise array per derivative d_x^a d_y^b, a + b <= m."""
     ikx = (1j * fld.xi0 * np.arange(-fld.K, fld.K + 1))[:, None]
@@ -219,11 +227,66 @@ class TestHNorm:
         fields.append(LinearizedChannelSolver(POISEUILLE, grid, K, xi0).solve(force))
         raw = rng.normal(size=(2 * K + 1, N + 1)) + 1j * rng.normal(size=(2 * K + 1, N + 1))
         fields.append(ChannelField(xi0, K, grid, raw))
-        assert fields[-1].conjugate_symmetry_error() > 0.1
+        assert conjugate_symmetry_error(fields[-1]) > 0.1
         for fld in fields:
             for m in (0, 1, 2):
                 want = loop_h_norm(fld, m)
                 assert abs(field_h_norm(fld, m) - want) <= 1e-13 * want
+
+
+class TestHalfSpectrum:
+    """The Picard loop's k >= 0 layout against the full k = -K..K layout."""
+
+    @pytest.mark.parametrize("N, K", [(48, 8), (96, 32)])
+    def test_half_norm_equals_field_h_norm(self, N, K):
+        grid, xi0 = build_grid(N), 1.3
+        rng = np.random.default_rng(K)
+        fields = [random_field(rng, grid, K, xi0, 2.0)]
+        fields.append(LinearizedChannelSolver(POISEUILLE, grid, K, xi0).solve(
+            random_force(rng, grid, K, xi0, 1.0)))
+        fields.append(symmetry_project(fields[0], "X1"))
+        for fld in fields:
+            assert conjugate_symmetry_error(fld) == 0.0
+            half = _half(fld.psi_modes, K)
+            assert np.array_equal(half, fld.psi_modes[K:])  # c_k bit for bit on real fields
+            stack = _y_stack(half, grid)
+            for m in (0, 1, 2):
+                want = field_h_norm(fld, m)
+                assert abs(_half_h_norm(stack, fld, m) - want) <= 1e-13 * want
+
+    def test_product_points_are_5_smooth_and_alias_free(self):
+        def smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        for K in range(1, 65):
+            n = product_points(K)
+            assert smooth(n) and n >= n_x_points(K) >= 3 * K + 1
+            assert not any(smooth(m) for m in range(n_x_points(K), n))
+            if smooth(n_x_points(K)):
+                assert n == n_x_points(K)
+        assert (product_points(8), product_points(32)) == (36, 135)
+
+
+class TestForceAnalysis:
+    def test_second_modes_call_does_no_fft_work(self, grid32, monkeypatch):
+        force = random_force(np.random.default_rng(3), grid32, 4, 1.0, 1.0)
+        calls = []
+        real_analyze = channel.analyze
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_analyze(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "analyze", counting)
+        first = force.modes()
+        first[0][:] = 0.0  # a caller's copy: the held analysis is untouched
+        second, third = force.modes(), force.modes()
+        assert len(calls) == 1
+        for a, b in zip(second, third, strict=True):
+            assert np.array_equal(a, b) and np.abs(a).max() > 0.0
 
 
 class TestSynthesis:
@@ -313,6 +376,22 @@ class TestWindowedNorms:
             fld = random_field(rng, grid32, 4, 1.0, 1.0)
             for m in (0, 1, 2):
                 assert x_norm(fld, m) <= field_h_norm(fld, m) * (1.0 + 1e-10)
+
+
+def _derivative_mode_sets(modes, xi0, K, grid, m):
+    """Reference sets: d^alpha applied mode-wise, one entry per multi-index |alpha| <= m."""
+    ks = np.arange(-K, K + 1)
+    ikx = (1j * xi0 * ks)[:, None]
+    out = []
+    D = {0: None, 1: grid.D1, 2: grid.D2}
+    for total in range(m + 1):
+        for b in range(total + 1):
+            a = total - b
+            arr = modes if b == 0 else modes @ D[b].T
+            if a:
+                arr = arr * ikx**a
+            out.append(arr)
+    return out
 
 
 def loop_x_norm(fld, m):

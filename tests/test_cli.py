@@ -227,6 +227,26 @@ class TestConfigFile:
                         "--A", "-1", "--B", "0", "--C", "3"])
         assert code == 2
 
+    def test_unconvertible_value_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("N=abc\n")
+        code = run_cli(["spectrum", "--A", "-0.2", "--T", "1", "--config", str(cfg),
+                        "--output", str(tmp_path / "s.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: config value N='abc'")
+
+    def test_value_outside_choices_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("solver built before the config check")
+
+        monkeypatch.setattr(cli, "NonlinearChannelSolver", not_reached)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("symmetry=X2\n")
+        code = run_cli(["solve-nonlinear", "--profile", "poiseuille", "--N", "16", "--K", "2",
+                        "--config", str(cfg), "--output", str(tmp_path / "n.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: config value symmetry='X2'")
+
 
 class TestSolveLinear:
     def test_writes_field_and_header(self, tmp_path):

@@ -7,6 +7,7 @@ from numpy.polynomial import Polynomial
 from cpflow.channel import (
     ChannelField,
     ForceField,
+    _cell_l2sq,
     _random_modes,
     analyze,
     field_h_norm,
@@ -408,6 +409,51 @@ class TestPicardLoopReference:
         w = u if same else random_field(rng, grid48, 8, 1.3, 1.0)
         for got, want in zip(advection_modes(u, w), six_field_advection(u, w)):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def full_layout_residual(p, fld, force_modes, floor=1e-300):
+    """Reference residual on all 2K+1 modes, products on the 4(K+1)-point tensor grid."""
+    grid, K, xi0 = fld.grid, fld.K, fld.xi0
+    F = p.F(grid.nodes)
+    ikx = (1j * xi0 * np.arange(-K, K + 1))[:, None]
+    pm = fld.psi_modes
+    lap = pm @ grid.D2.T + ikx**2 * pm
+    lap2 = lap @ grid.D2.T + ikx**2 * lap
+    linear = lap2 - F[None, :] * (ikx * lap) + 6.0 * p.A * (ikx * pm)
+    stack = np.stack([ikx * pm, pm @ grid.D1.T, ikx * lap, lap @ grid.D1.T])
+    psix, psiy, lapx, lapy = synthesize(stack, xi0, K)
+    nl_modes, _ = analyze(psix * lapy - psiy * lapx, K)
+    f_modes, g_modes = force_modes
+    rhs = ikx * g_modes - f_modes @ grid.D1.T
+    res = linear + nl_modes - rhs
+    res_n, rhs_n, lap2_n = (math.sqrt(_cell_l2sq(m, xi0, grid)) for m in (res, rhs, lap2))
+    return res_n / max(rhs_n, lap2_n, floor)
+
+
+class TestHalfSpectrumLoop:
+    """Advection and residual on modes k = 0..K against the full-layout references."""
+
+    @pytest.mark.parametrize("same", [True, False], ids=["self", "pair"])
+    def test_advection_matches_six_fields_at_k32(self, same):
+        # K = 32: products on 135 points here, on 132 in the reference
+        grid = build_grid(96)
+        rng = np.random.default_rng(32)
+        u = random_field(rng, grid, 32, 1.0, 1.0)
+        w = u if same else random_field(rng, grid, 32, 1.0, 1.0)
+        for got, want in zip(advection_modes(u, w), six_field_advection(u, w), strict=True):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("N, K", [(48, 8), (96, 32)])
+    @pytest.mark.parametrize("p", [POISEUILLE, Profile(-0.7, 0.3, 3.0)], ids=["poiseuille", "skewed"])
+    def test_residual_matches_full_layout(self, p, N, K):
+        grid = build_grid(N)
+        rng = np.random.default_rng(N + K)
+        force_modes = random_force(rng, grid, K, 1.0, 1.0).modes()
+        fields = [random_field(rng, grid, K, 1.0, h2) for h2 in (0.1, 3.0)]
+        fields.append(NonlinearChannelSolver(p, grid, K, 1.0).picard_map(force_modes, fields[0]))
+        for fld in fields:
+            want = full_layout_residual(p, fld, force_modes)
+            assert abs(nonlinear_residual(p, fld, force_modes) - want) <= 1e-13 * want
 
 
 def loop_modes(rng, shapes, K, decay):
