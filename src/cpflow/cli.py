@@ -74,16 +74,20 @@ def _add_force_args(sp):
     sp.add_argument("--g", default="0.0*y", help="wall-normal force expression in x, y")
 
 
-def _add_common(sp, n_default=64):
-    sp.add_argument("--config", default=None, help="flat KEY=VALUE config file; flags override")
-    sp.add_argument("--N", type=int, default=n_default, help="collocation degree")
-    sp.add_argument("--K", type=int, default=8, help="Fourier mode cutoff")
-    sp.add_argument("--xi0", type=float, default=1.0, help="fundamental wavenumber")
-    sp.add_argument("--tol", type=float, default=1e-8, help="iteration/search tolerance")
-    sp.add_argument("--max-iter", type=int, default=100, help="fixed-point iteration cap")
-    sp.add_argument("--seed", type=int, default=0, help="seed for randomized measurements")
-    sp.add_argument("--output", default=None, help="output path (default: <command>.json)")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
+# The shared numerics flags, and the defaults of the ones each command reads.
+NUMERICS_HELP = {"N": "collocation degree", "K": "Fourier mode cutoff", "xi0": "fundamental wavenumber",
+                 "tol": "iteration/search tolerance", "max_iter": "fixed-point iteration cap",
+                 "seed": "seed for randomized measurements"}
+NUMERICS = {
+    "solve-mode": {"N": 64},
+    "solve-linear": {"N": 48, "K": 8, "xi0": 1.0},
+    "solve-nonlinear": {"N": 48, "K": 8, "xi0": 1.0, "tol": 1e-8, "max_iter": 100, "seed": 0},
+    "spectrum": {"N": 120},
+    "neutral-search": {"N": 200, "tol": 1e-6},  # 1e-8 is below the N = 300 Re lambda roundoff
+    "verify-estimates": {"N": 64, "seed": 0},
+    "symmetry-check": {"N": 32, "K": 8, "xi0": 1.0},
+    "regression": {"N": 48, "K": 8, "xi0": 1.0, "seed": 0},
+}
 
 
 def _command(argv):
@@ -100,35 +104,37 @@ def build_parser(argv=()):
     usage_name = None if command is None else "{%s}" % ",".join(COMMANDS)
     sub = ap.add_subparsers(dest="command", required=True, metavar=usage_name)
 
-    def add(name, help_text, n_default=64, profile=True):
+    def add(name, help_text, profile=True):
         """The subparser of ``name`` with its shared arguments; None if argv names another."""
         if command not in (None, name):
             return None
         sp = sub.add_parser(name, help=help_text)
         if profile:
             _add_profile_args(sp)
-        _add_common(sp, n_default)
+        sp.add_argument("--config", default=None, help="flat KEY=VALUE config file; flags override")
+        for flag, default in NUMERICS[name].items():
+            sp.add_argument("--" + flag.replace("_", "-"), type=type(default), default=default,
+                            help=NUMERICS_HELP[flag])
+        sp.add_argument("--output", default=None, help="output path (default: <command>.json)")
         return sp
 
     if sp := add("solve-mode", "solve one forced Orr-Sommerfeld mode"):
         sp.add_argument("--xi", type=float, required=True, help="mode wavenumber (nonzero)")
         sp.add_argument("--h", default="sin(pi*y)", help="source expression in y")
 
-    if sp := add("solve-linear", "solve the linearized channel problem", n_default=48):
+    if sp := add("solve-linear", "solve the linearized channel problem"):
         _add_force_args(sp)
 
-    if sp := add("solve-nonlinear", "fixed-point solve of the nonlinear problem", n_default=48):
+    if sp := add("solve-nonlinear", "fixed-point solve of the nonlinear problem"):
         _add_force_args(sp)
         sp.add_argument("--delta", type=float, default=None, help="ball radius (default from measured constants)")
         sp.add_argument("--symmetry", choices=("X1", "Y1"), default=None)
 
-    if sp := add("spectrum", "resolution-filtered stability spectrum at (A, T)", n_default=120,
-                 profile=False):
+    if sp := add("spectrum", "resolution-filtered stability spectrum at (A, T)", profile=False):
         sp.add_argument("--A", type=float, required=True)
         sp.add_argument("--T", type=float, required=True)
 
-    if sp := add("neutral-search", "locate the neutral crossing of the leading growth rate",
-                 n_default=200, profile=False):
+    if sp := add("neutral-search", "locate the neutral crossing of the leading growth rate", profile=False):
         sp.add_argument("--reA-min", type=float, default=5000.0, help="lower bracket of -3A")
         sp.add_argument("--reA-max", type=float, default=6500.0, help="upper bracket of -3A")
         sp.add_argument("--T-min", type=float, default=0.8)
@@ -136,9 +142,9 @@ def build_parser(argv=()):
         sp.add_argument("--N-check", type=int, default=300, help="verification resolution")
 
     add("verify-estimates", "run the energy-estimate battery for a profile")
-    add("symmetry-check", "parity cancellation integrals for an even profile", n_default=32)
+    add("symmetry-check", "parity cancellation integrals for an even profile")
 
-    if sp := add("regression", "compare measured constants against a stored baseline", n_default=48):
+    if sp := add("regression", "compare measured constants against a stored baseline"):
         sp.add_argument("--baseline", required=True, help="baseline JSON path")
         sp.add_argument("--record", action="store_true", help="write the baseline instead of comparing")
 
@@ -201,7 +207,8 @@ def _check_numerics(args):
         if isinstance(v, float) and not math.isfinite(v):
             raise ConfigError(f"numerics value {name} must be finite, got {v}")
     names = ("xi", "T", "T_min", "T_max")
-    wave = max(abs(args.K * args.xi0), *(abs(getattr(args, n, 0.0)) for n in names))
+    wave = max(abs(getattr(args, "K", 0) * getattr(args, "xi0", 0.0)),
+               *(abs(getattr(args, n, 0.0)) for n in names))
     if wave > sys.float_info.max**0.25:  # the mode operators take xi^4
         raise ConfigError(f"wavenumber {wave} overflows at the fourth power")
     for name in ("N", "K", "xi0", "tol", "max_iter", "T", "T_min", "T_max"):
@@ -214,18 +221,25 @@ def _check_numerics(args):
         raise ConfigError(f"collocation degree N must be at least 8, got {args.N}")
 
 
-def output_path(args, suffix=".json"):
+def output_path(args):
     if args.output:
         path = args.output
     else:
         base = os.environ.get("CPFLOW_OUTPUT_DIR", ".")
-        path = os.path.join(base, f"{args.command}{suffix}")
+        path = os.path.join(base, f"{args.command}.json")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ConfigError(f"output directory does not exist: {parent}")
     if not os.access(parent, os.W_OK):
         raise ConfigError(f"output directory not writable: {parent}")
     return path
+
+
+def data_path(path, suffix=".csv"):
+    """The data file written next to the JSON payload at ``path``."""
+    if (data := os.path.splitext(path)[0] + suffix) == path:
+        raise ConfigError(f"output {path} collides with its data file {data}; use a .json name")
+    return data
 
 
 def _payload(args, results):
@@ -239,8 +253,7 @@ def _payload(args, results):
     }
 
 
-def write_json(args, results, path=None):
-    path = output_path(args) if path is None else path
+def write_json(args, results, path):
     try:
         text = json.dumps(_payload(args, results), indent=2, sort_keys=True, default=_tolist,
                           allow_nan=False)
@@ -266,7 +279,7 @@ def _tolist(obj):
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve_mode(args):
+def cmd_solve_mode(args, path):
     p = resolve_profile(args)
     grid = build_grid(args.N)
     h_fn = compile_expression(args.h)
@@ -292,7 +305,7 @@ def cmd_solve_mode(args):
             "energy_lhs": d.energy_lhs,
         }
     print(f"solve-mode: residual {sol.residual_norm:.3e}, ratios ({r_h:.4g}, {r_l2:.4g})")
-    return write_json(args, results)
+    return write_json(args, results, path)
 
 
 def _force_from_args(args, grid):
@@ -301,7 +314,8 @@ def _force_from_args(args, grid):
     return ForceField.from_callables(args.xi0, args.K, grid, f_fn, g_fn)
 
 
-def cmd_solve_linear(args):
+def cmd_solve_linear(args, path):
+    csv_path = data_path(path)
     p = resolve_profile(args)
     grid = build_grid(args.N)
     force = _force_from_args(args, grid)
@@ -311,13 +325,11 @@ def cmd_solve_linear(args):
     header = field_header(fld, p)
     header["residual_rel"] = fld.solve_info["residual_rel"]
     header["curl_residual"] = grad.curl_residual
-    base = output_path(args)
-    csv_path = os.path.splitext(base)[0] + ".csv"
     export_field_csv(fld, csv_path, pressure=grad)
     results = {"numerics": {"N": args.N, "K": args.K, "xi0": args.xi0}, "header": header,
                "field_csv": os.path.basename(csv_path)}
     print(f"solve-linear: residual {header['residual_rel']:.3e}, field -> {csv_path}")
-    return write_json(args, results, path=base)
+    return write_json(args, results, path)
 
 
 def _measured_ball(p, grid, args, solver):
@@ -327,7 +339,8 @@ def _measured_ball(p, grid, args, solver):
     return k0, c1, contraction_ball_radius(k0, c1)
 
 
-def cmd_solve_nonlinear(args):
+def cmd_solve_nonlinear(args, path):
+    csv_path, trace_path = data_path(path), data_path(path, "_trace.csv")
     p = resolve_profile(args)
     grid = build_grid(args.N)
     force = _force_from_args(args, grid)
@@ -338,10 +351,8 @@ def cmd_solve_nonlinear(args):
     cfg = PicardConfig(delta=delta, tol=args.tol, max_iter=args.max_iter, symmetry_class=args.symmetry)
     fld, trace = solver.solve(force, cfg)
     grad = recover_pressure_gradient(p, fld, force, nonlinear_modes=advection_modes(fld, fld))
-    base = output_path(args)
-    stem = os.path.splitext(base)[0]
-    export_field_csv(fld, stem + ".csv", pressure=grad)
-    with open(stem + "_trace.csv", "w") as fh:
+    export_field_csv(fld, csv_path, pressure=grad)
+    with open(trace_path, "w") as fh:
         fh.write("iteration,increment,norm\n")
         for i, (nv, inc) in enumerate(trace.iterates):
             fh.write(f"{i},{inc:.17g},{nv:.17g}\n")
@@ -359,13 +370,12 @@ def cmd_solve_nonlinear(args):
         f"solve-nonlinear: converged={trace.converged} after {trace.n_iter} iterations, "
         f"residual {trace.final_residual:.3e}"
     )
-    return write_json(args, results, path=base)
+    return write_json(args, results, path)
 
 
-def cmd_spectrum(args):
+def cmd_spectrum(args, path):
+    csv_path = data_path(path)
     res = os_spectrum(args.A, args.T, args.N, with_vectors=False)
-    base = output_path(args)
-    csv_path = os.path.splitext(base)[0] + ".csv"
     with open(csv_path, "w") as fh:
         fh.write("re,im,resolved\n")
         cols = (res.raw.real, res.raw.imag, res.resolved_mask.astype(int))
@@ -379,10 +389,10 @@ def cmd_spectrum(args):
         "spectrum_csv": os.path.basename(csv_path),
     }
     print(f"spectrum: leading {res.leading:.6g}, {res.n_resolved} resolved -> {csv_path}")
-    return write_json(args, results, path=base)
+    return write_json(args, results, path)
 
 
-def cmd_neutral_search(args):
+def cmd_neutral_search(args, path):
     npt = neutral_search(
         (args.T_min, args.T_max),
         (args.reA_min, args.reA_max),
@@ -406,7 +416,7 @@ def cmd_neutral_search(args):
         f"neutral-search: -3A1={-3*npt.A1:.4f} T0={npt.T0:.6f} "
         f"Im(lambda1)={npt.lambda1.imag:.4f} reversal={npt.reversal_confirmed}"
     )
-    return write_json(args, results)
+    return write_json(args, results, path)
 
 
 def _estimate_battery(p, grid, seed):
@@ -458,7 +468,7 @@ def _estimate_battery(p, grid, seed):
     return checks
 
 
-def cmd_verify_estimates(args):
+def cmd_verify_estimates(args, path):
     p = resolve_profile(args)
     if not check_admissibility(p).satisfies_abc:
         raise ConfigError("verify-estimates needs an admissible profile")
@@ -467,14 +477,14 @@ def cmd_verify_estimates(args):
     all_green = all(flags)
     results = {"numerics": {"N": args.N}, "profile": p.to_dict(), "checks": checks,
                "all_green": bool(all_green)}
-    path = write_json(args, results)
+    write_json(args, results, path)
     print(f"verify-estimates: {'all green' if all_green else 'FAILED'} -> {path}")
     if not all_green:
         raise CpflowError("estimate verification failed; see report")
     return path
 
 
-def cmd_symmetry_check(args):
+def cmd_symmetry_check(args, path):
     p = resolve_profile(args)
     if p.B != 0.0:
         raise ConfigError("symmetry-check needs an even profile (B = 0)")
@@ -499,7 +509,7 @@ def cmd_symmetry_check(args):
     results = {"numerics": {"N": args.N, "K": K, "xi0": args.xi0},
                "profile": p.to_dict(), "worst_cancellation": worst,
                "ok": worst < 1e-10}
-    path = write_json(args, results)
+    write_json(args, results, path)
     print(f"symmetry-check: worst normalized integral {worst:.3e} -> {path}")
     if worst >= 1e-10:
         raise CpflowError("symmetry cancellation violated")
@@ -538,7 +548,7 @@ def measure_baseline(args, p):
     }
 
 
-def cmd_regression(args):
+def cmd_regression(args, path):
     p = resolve_profile(args) if (args.profile or args.A is not None) else poiseuille_for_flux(4.0)
     if not args.record and not os.path.exists(args.baseline):
         raise ConfigError(f"baseline file not found: {args.baseline} (use --record)")
@@ -560,7 +570,7 @@ def cmd_regression(args):
         if not math.isclose(val, ref, rel_tol=tol, abs_tol=tol):
             failures.append(f"{key}: measured {val!r} vs baseline {ref!r} (tol {tol})")
     write_json(args, {"numerics": {"N": args.N, "K": args.K}, "measured": measured,
-                      "failures": failures})
+                      "failures": failures}, path)
     if failures:
         print("regression FAILED:\n  " + "\n  ".join(failures))
         sys.exit(4)
@@ -587,7 +597,7 @@ def main(argv=None):
         _apply_config_file(ap, argv)
         args = ap.parse_args(argv)
         _check_numerics(args)
-        HANDLERS[args.command](args)
+        HANDLERS[args.command](args, output_path(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         sys.exit(2)

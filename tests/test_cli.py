@@ -71,10 +71,10 @@ class TestSolveMode:
         payloads = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
-            run_cli(
+            assert run_cli(
                 ["solve-mode", "--profile", "poiseuille", "--flux", "4", "--xi", "1",
-                 "--N", "48", "--seed", "7", "--output", str(out)]
-            )
+                 "--N", "48", "--output", str(out)]
+            ) == 0
             data, _ = load_payload(out)
             data["config"].pop("output")
             payloads.append(json.dumps(data, sort_keys=True))
@@ -121,21 +121,28 @@ class TestSolveMode:
 
 
 PROFILE_KEYS = {"A", "B", "C", "profile", "flux", "shear"}
-COMMON_KEYS = {"command", "config", "N", "K", "xi0", "tol", "max_iter", "seed", "output", "format"}
 FORCE_KEYS = {"f", "g"}
+
+
+def common_keys(command):
+    """The keys every command parses, plus the numerics its table row reads."""
+    return {"command", "config", "output"} | set(cli.NUMERICS[command])
 
 
 class TestParser:
     # each command's argv with its required flags, and the namespace it parses to
     NAMESPACES = {
-        ("solve-mode", "--xi", "1"): PROFILE_KEYS | COMMON_KEYS | {"xi", "h"},
-        ("solve-linear",): PROFILE_KEYS | COMMON_KEYS | FORCE_KEYS,
-        ("solve-nonlinear",): PROFILE_KEYS | COMMON_KEYS | FORCE_KEYS | {"delta", "symmetry"},
-        ("spectrum", "--A", "-0.2", "--T", "1"): COMMON_KEYS | {"A", "T"},
-        ("neutral-search",): COMMON_KEYS | {"reA_min", "reA_max", "T_min", "T_max", "N_check"},
-        ("verify-estimates",): PROFILE_KEYS | COMMON_KEYS,
-        ("symmetry-check",): PROFILE_KEYS | COMMON_KEYS,
-        ("regression", "--baseline", "b.json"): PROFILE_KEYS | COMMON_KEYS | {"baseline", "record"},
+        ("solve-mode", "--xi", "1"): PROFILE_KEYS | common_keys("solve-mode") | {"xi", "h"},
+        ("solve-linear",): PROFILE_KEYS | common_keys("solve-linear") | FORCE_KEYS,
+        ("solve-nonlinear",): PROFILE_KEYS | common_keys("solve-nonlinear") | FORCE_KEYS
+        | {"delta", "symmetry"},
+        ("spectrum", "--A", "-0.2", "--T", "1"): common_keys("spectrum") | {"A", "T"},
+        ("neutral-search",): common_keys("neutral-search")
+        | {"reA_min", "reA_max", "T_min", "T_max", "N_check"},
+        ("verify-estimates",): PROFILE_KEYS | common_keys("verify-estimates"),
+        ("symmetry-check",): PROFILE_KEYS | common_keys("symmetry-check"),
+        ("regression", "--baseline", "b.json"): PROFILE_KEYS | common_keys("regression")
+        | {"baseline", "record"},
     }
 
     @pytest.mark.parametrize("argv", list(NAMESPACES), ids=lambda argv: argv[0])
@@ -164,6 +171,26 @@ class TestParser:
         assert run_cli(["bogus", "--N", "8"]) == 2
         err = capsys.readouterr().err
         assert "invalid choice: 'bogus'" in err and all(cmd in err for cmd in cli.COMMANDS)
+
+
+# every numerics flag a command may take, and --format, each with a value a value check rejects
+SHARED_FLAGS = {"N": "4", "K": "0", "xi0": "1e100", "tol": "inf", "max_iter": "0", "seed": "-1",
+                 "format": "csv"}
+UNREAD = [(argv, name) for argv in TestParser.NAMESPACES for name in SHARED_FLAGS
+          if name not in cli.NUMERICS[argv[0]]]
+
+
+class TestUnreadFlags:
+    def test_unread_flag_count(self):
+        assert len(UNREAD) == 34
+
+    @pytest.mark.parametrize("argv, name", UNREAD, ids=[f"{a[0]}-{n}" for a, n in UNREAD])
+    def test_flag_the_command_does_not_read_is_unrecognized(self, tmp_path, capsys, argv, name):
+        flag = "--" + name.replace("_", "-")
+        out = tmp_path / "x.json"
+        assert run_cli([*argv, flag, SHARED_FLAGS[name], "--output", str(out)]) == 2
+        assert f"unrecognized arguments: {flag} {SHARED_FLAGS[name]}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestWorkCounts:
@@ -227,6 +254,15 @@ class TestConfigFile:
                         "--A", "-1", "--B", "0", "--C", "3"])
         assert code == 2
 
+    def test_key_the_command_does_not_read_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("K=4\n")
+        out = tmp_path / "s.json"
+        code = run_cli(["spectrum", "--A", "-0.2", "--T", "1", "--config", str(cfg), "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: unknown config keys: ['K']")
+        assert not out.exists()
+
     def test_unconvertible_value_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("N=abc\n")
@@ -246,6 +282,34 @@ class TestConfigFile:
                         "--config", str(cfg), "--output", str(tmp_path / "n.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: config value symmetry='X2'")
+
+
+def not_reached(*args, **kwargs):
+    raise AssertionError("work started before the output check")
+
+
+class TestOutputPaths:
+    """Output paths are resolved and checked before any work."""
+
+    @pytest.mark.parametrize("argv, output, solver", [
+        (["solve-linear", "--profile", "poiseuille", "--N", "16", "--K", "2"], "sl.csv",
+         "LinearizedChannelSolver"),
+        (["spectrum", "--A", "-0.2", "--T", "1", "--N", "32"], "s.csv", "os_spectrum"),
+        (["solve-nonlinear", "--profile", "poiseuille", "--N", "16", "--K", "2"], "n_trace.csv",
+         "NonlinearChannelSolver"),
+    ], ids=["solve-linear", "spectrum", "solve-nonlinear"])
+    def test_output_equal_to_its_data_path_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                           argv, output, solver):
+        # the JSON payload used to overwrite the data CSV, exit 0
+        monkeypatch.setattr(cli, solver, not_reached)
+        assert run_cli(argv + ["--output", str(tmp_path / output)]) == 2
+        assert "collides with its data file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_output_directory_is_checked_before_the_solve(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "LinearizedChannelSolver", not_reached)
+        argv = ["solve-linear", "--profile", "poiseuille", "--output", str(tmp_path / "none" / "x.json")]
+        assert run_cli(argv) == 2
 
 
 class TestSolveLinear:
@@ -453,7 +517,7 @@ class TestInputGuards:
         ["spectrum", "--A=-0.2", "--T=1e200", "--N=32"],
         ["solve-mode", "--profile", "poiseuille", "--xi", "1e200"],
         ["symmetry-check", "--profile", "poiseuille", "--xi0", "1e100"],
-        ["solve-linear", "--profile", "poiseuille", "--tol", "inf"],
+        ["solve-nonlinear", "--profile", "poiseuille", "--tol", "inf"],
     ], ids=["nan-A", "huge-T", "huge-xi", "huge-xi0", "inf-tol"])
     def test_non_finite_or_overflowing_flag_is_config_error(self, tmp_path, argv):
         assert run_cli(argv + ["--output", str(tmp_path / "x.json")]) == 2
@@ -598,7 +662,10 @@ class TestAdversarialSweep:
     def draw(self, rng):
         cmd = str(rng.choice(("solve-mode", "solve-linear", "solve-nonlinear", "spectrum",
                               "verify-estimates", "symmetry-check")))
-        argv = [cmd] + self.common(rng)
+        common = self.common(rng)
+        reads = {"--" + name.replace("_", "-") for name in cli.NUMERICS[cmd]}
+        argv = [cmd] + [a for flag, value in zip(common[::2], common[1::2]) if flag in reads
+                        for a in (flag, value)]
         if cmd == "solve-mode":
             argv += self.profile(rng) + ["--xi", self.num(rng, 0.1, 5.0), "--h", self.force(rng, x=False)]
         elif cmd in ("solve-linear", "solve-nonlinear"):
