@@ -13,11 +13,10 @@ from cpflow import (
     ForceField,
     LinearizedChannelSolver,
     build_grid,
-    field_h_norm,
+    field_norms,
     gamma_energy,
     poiseuille_for_flux,
     recover_pressure_gradient,
-    x_norm,
 )
 
 print(__doc__)
@@ -52,8 +51,9 @@ print(f"max |div|               : {fld.divergence_max():.3e}")
 print(f"max |flux|              : {np.abs(fld.flux_profile()).max():.3e}")
 
 print("\nglobal vs windowed norms of the velocity field:")
+h_norms, x_norms = field_norms(fld)
 for m in (0, 1, 2):
-    print(f"  m={m}:  H^m(cell) = {field_h_norm(fld, m):8.5f}   X^m = {x_norm(fld, m):8.5f}")
+    print(f"  m={m}:  H^m(cell) = {h_norms[m]:8.5f}   X^m = {x_norms[m]:8.5f}")
 
 rep = gamma_energy(p, fld, [0.5, 1.0, 2.0, np.pi, 6.0])
 print("\nwindowed energy Gamma(L) (monotone, saturates at the cell):")

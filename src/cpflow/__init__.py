@@ -15,10 +15,10 @@ from .channel import (
     ForceField,
     LinearizedChannelSolver,
     field_h_norm,
+    field_norms,
     gamma_energy,
     random_field,
     recover_pressure_gradient,
-    x_norm,
 )
 from .nonlinear import (
     PicardConfig,

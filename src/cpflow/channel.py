@@ -32,7 +32,7 @@ __all__ = [
     "EnergyReport",
     "LinearizedChannelSolver",
     "recover_pressure_gradient",
-    "x_norm",
+    "field_norms",
     "gamma_energy",
     "symmetry_project",
     "check_symmetry_cancellation",
@@ -421,44 +421,55 @@ def recover_pressure_gradient(p, fld, force, nonlinear_modes=None):
 # ---------------------------------------------------------------------------
 
 
-def _window_quadratic(mode_sets, xi0, K, grid, offsets, width, weight=1.0):
-    """sum_alpha int_{a}^{a+width} int_y weight |d^alpha u|^2 for every offset a.
+def _gram(sets, weights):
+    """Gram matrix sum_s S_s diag(weights[s]) S_s^H of mode sets S_s (rows k = -K..K,
+    columns y), formed by one product over the stacked sets; ``weights[s]``
+    includes the quadrature weights."""
+    S = np.concatenate(sets, axis=1)
+    return (S * np.concatenate(weights)) @ np.conj(S).T
 
-    Uses the exact mode-pair formula: the x-integral of
-    e^{i(k-l) xi0 x} over (a, a+width) is e^{i(k-l) xi0 a} * Lambda(k-l),
-    with Lambda(0) = width.  One Gram matrix of the stacked mode sets and
-    one product with the offset phases P give every window at once.
+
+def _windows(grams, xi0, K, offsets, width):
+    """int_a^{a+width} dx of the x-quadratic form of each Gram matrix, for every offset a.
+
+    Returns shape (len(grams), len(offsets)).  Uses the exact mode-pair
+    formula: the x-integral of e^{i(k-l) xi0 x} over (a, a+width) is
+    e^{i(k-l) xi0 a} * Lambda(k-l), with Lambda(0) = width, so the windows
+    wrap around the periodic cell.  The phases P and the factors Lambda are
+    formed once per call and shared by all Gram matrices.
     """
-    S = np.concatenate(mode_sets, axis=1)
-    G = (S * np.tile(grid.quad_weights * weight, len(mode_sets))) @ np.conj(S).T
     kk = np.arange(-K, K + 1)
     arg = xi0 * (kk[:, None] - kk[None, :])
     zero = arg == 0.0
     lam = np.where(zero, width, (np.exp(1j * arg * width) - 1.0) / (1j * np.where(zero, 1.0, arg)))
     P = np.exp(1j * xi0 * np.outer(offsets, kk))
-    return np.real(np.sum((P @ (G * lam)) * np.conj(P), axis=1))
+    return np.real(np.sum((P @ (np.asarray(grams) * lam)) * np.conj(P), axis=-1))
 
 
-def x_norm(fld, m, scalar_modes=None):
-    """Windowed norm: sup over offsets of the H^m norm on unit-width slabs.
+def field_norms(fld):
+    """({m: H^m}, {m: X^m}), m = 0..2, of the velocity field from one ``_y_stack``.
 
-    Offsets are discretized to the tensor-grid spacing; windows wrap
-    around the periodic cell.  With ``scalar_modes`` given, the norm is
-    taken of that scalar function instead of the velocity field.
+    H^m is ``field_h_norm`` bit for bit.  X^m is the windowed norm: the sup
+    over offsets of the H^m norm on unit-width slabs, with the offsets on
+    the tensor-grid spacing (so it approaches the continuous sup from
+    below) and the windows wrapping around the periodic cell.  The Gram
+    matrix of order m adds the sets d_x^a d_y^b v, d_x^a d_y^b w with
+    a + b = m to that of order m - 1, and one window pass serves all three.
     """
-    if not 0 <= m <= 2:
-        raise DomainError("window Sobolev order limited to 0..2")
-    K, nk, n = fld.K, 2 * fld.K + 1, fld.grid.N + 1
-    ikx = (1j * fld.xi0 * np.arange(-K, K + 1))[:, None]
-    rows = fld.psi_modes if scalar_modes is None else scalar_modes
-    X, R1, R2 = (A[:nk] + 1j * A[nk:] for A in _y_stack(rows, fld.grid))
+    K, grid, nk, n = fld.K, fld.grid, 2 * fld.K + 1, fld.grid.N + 1
+    ks = np.arange(-K, K + 1)
+    stack = _y_stack(fld.psi_modes, grid)
+    h = {m: _stack_h_norm(stack, grid, fld.xi0, ks, 1.0, m) for m in range(3)}
+    ikx = (1j * fld.xi0 * ks)[:, None]
+    X, R1, R2 = (A[:nk] + 1j * A[nk:] for A in stack)
     psi = (X, R1[:, :n], R1[:, n:])  # y-derivatives 0..2 of the rows
     v = (R1[:, :n], R2[:, :n], R2[:, n:])  # of v = D1 psi
-    comps = [psi] if scalar_modes is not None else [v, [-ikx * d for d in psi]]  # w = -i kappa psi
-    sets = [dy[b] if b == total else dy[b] * ikx ** (total - b)  # d_x^a d_y^b, a + b <= m
-            for dy in comps for total in range(m + 1) for b in range(total + 1)]
-    vals = _window_quadratic(sets, fld.xi0, K, fld.grid, fld.x(), 1.0)
-    return float(np.sqrt(vals.max()))
+    comps = (v, [-ikx * d for d in psi])  # w = -i kappa psi
+    sets = [[dy[b] if b == total else dy[b] * ikx ** (total - b)  # d_x^a d_y^b, a + b = total
+             for dy in comps for b in range(total + 1)] for total in range(3)]
+    grams = np.cumsum([_gram(s, [grid.quad_weights] * len(s)) for s in sets], axis=0)
+    vals = _windows(grams, fld.xi0, K, fld.x(), 1.0)
+    return h, {m: float(np.sqrt(vals[m].max())) for m in range(3)}
 
 
 @dataclass(frozen=True)
@@ -485,51 +496,27 @@ def gamma_energy(p, fld, L_list):
     grid, K, xi0 = fld.grid, fld.K, fld.xi0
     F = p.F(grid.nodes)
     dpsi = fld.psi_modes @ grid.D1.T
-    sigma = np.empty_like(fld.psi_modes)
-    for j in range(2 * K + 1):
-        sigma[j] = sigma_values(fld.psi_modes[j], dpsi[j], p, grid)
-    ks = np.arange(-K, K + 1)
-    ikx = (1j * xi0 * ks)[:, None]
-    sx = ikx * sigma
-    sy = sigma @ grid.D1.T
-    sxx = ikx**2 * sigma
-    sxy = ikx * sy
-    syy = sigma @ grid.D2.T
-    px = ikx * fld.psi_modes
-    pxx = ikx * px
-    pxy = ikx * dpsi
-    pyy = fld.psi_modes @ grid.D2.T
+    sigma = sigma_values(fld.psi_modes, dpsi, p, grid)
+    ikx = (1j * xi0 * np.arange(-K, K + 1))[:, None]
+    sx, sy, syy = ikx * sigma, sigma @ grid.D1.T, sigma @ grid.D2.T
+    sxx, sxy = ikx**2 * sigma, ikx * sy
+    pxx, pxy, pyy = ikx * (ikx * fld.psi_modes), ikx * dpsi, fld.psi_modes @ grid.D2.T
+    w = grid.quad_weights
+    grams = [  # Gamma and the control, windowed per L below
+        _gram([sx, sy, sxx, sxy, syy], [-6.0 * p.A * w, -12.0 * p.A * w, F * w, 2.0 * F * w, F * w]),
+        _gram([sy, sx, pxx, pyy, pxy], [w, w, w, w, 2.0 * w]),
+    ]
     period = 2.0 * math.pi / xi0
-
-    def q(sets, L, weight=1.0):  # over Q_L, saturating at one cell
+    gamma, control = {}, {}
+    for L in L_list:  # over Q_L, saturating at one cell
         half = min(L, 0.5 * period)
-        return float(_window_quadratic(sets, xi0, K, grid, [-half], 2.0 * half, weight)[0])
-
-    gamma = {}
-    control = {}
-    for L in L_list:
-        g_val = (
-            -6.0 * p.A * q([sx], L)
-            - 12.0 * p.A * q([sy], L)
-            + q([sxx], L, F)
-            + 2.0 * q([sxy], L, F)
-            + q([syy], L, F)
-        )
-        c_val = q([sy, sx, pxx, pyy], L) + 2.0 * q([pxy], L)
-        gamma[float(L)] = float(g_val)
-        control[float(L)] = float(c_val)
-    Ls = sorted(gamma)
-    scale = max(abs(v) for v in gamma.values()) or 1.0
-    monotone = all(
-        gamma[Ls[i + 1]] >= gamma[Ls[i]] - 1e-10 * scale for i in range(len(Ls) - 1)
-    )
-    return EnergyReport(
-        gamma_L=gamma,
-        gamma_monotone=bool(monotone),
-        x_norms={m: x_norm(fld, m) for m in (0, 1, 2)},
-        h_norms={m: field_h_norm(fld, m) for m in (1, 2)},
-        gamma_control=control,
-    )
+        (gamma[float(L)],), (control[float(L)],) = _windows(grams, xi0, K, [-half], 2.0 * half).tolist()
+    g = [gamma[L] for L in sorted(gamma)]
+    scale = max(map(abs, g)) or 1.0
+    monotone = all(b >= a - 1e-10 * scale for a, b in zip(g, g[1:]))
+    h_norms, x_norms = field_norms(fld)
+    return EnergyReport(gamma_L=gamma, gamma_monotone=monotone, x_norms=x_norms,
+                        h_norms=h_norms, gamma_control=control)
 
 
 # ---------------------------------------------------------------------------
@@ -650,16 +637,11 @@ def export_field_csv(fld, path, pressure=None):
 
 def field_header(fld, p):
     """JSON-ready snapshot header (profile, layout, norms)."""
+    h, x = field_norms(fld)
     return {
         "profile": p.to_dict(),
         "xi0": fld.xi0,
         "K": fld.K,
         "N": fld.grid.N,
-        "norms": {
-            "H1": field_h_norm(fld, 1),
-            "H2": field_h_norm(fld, 2),
-            "X0": x_norm(fld, 0),
-            "X1": x_norm(fld, 1),
-            "X2": x_norm(fld, 2),
-        },
+        "norms": {"H1": h[1], "H2": h[2], "X0": x[0], "X1": x[1], "X2": x[2]},
     }

@@ -548,10 +548,38 @@ def measure_baseline(args, p):
     }
 
 
+def _same_file(a, b):
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _read_baseline(path):
+    """The stored baseline, with a number for every measured key."""
+    if not os.path.exists(path):
+        raise ConfigError(f"baseline file not found: {path} (use --record)")
+    try:
+        with open(path) as fh:
+            base = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
+        raise ConfigError(f"cannot read baseline {path}: {exc}") from None
+    base = base if isinstance(base, dict) else {}
+    values, tols = base.get("values"), base.get("tolerances", {})
+    missing = [k for k in BASELINE_TOLERANCES
+               if not isinstance(values, dict) or not isinstance(values.get(k), (int, float))]
+    if missing:
+        raise ConfigError(f"baseline {path} has no number for {missing}; record it again")
+    if not isinstance(tols, dict) or not all(isinstance(t, (int, float)) for t in tols.values()):
+        raise ConfigError(f"baseline {path}: tolerances must map keys to numbers")
+    return base
+
+
 def cmd_regression(args, path):
     p = resolve_profile(args) if (args.profile or args.A is not None) else poiseuille_for_flux(4.0)
-    if not args.record and not os.path.exists(args.baseline):
-        raise ConfigError(f"baseline file not found: {args.baseline} (use --record)")
+    if _same_file(path, args.baseline):
+        raise ConfigError(f"output {path} is the baseline file; give another --output")
+    base = None if args.record else _read_baseline(args.baseline)
     measured = measure_baseline(args, p)
     if args.record:
         with open(args.baseline, "w") as fh:
@@ -561,8 +589,6 @@ def cmd_regression(args, path):
             fh.write("\n")
         print(f"regression: baseline recorded -> {args.baseline}")
         return args.baseline
-    with open(args.baseline) as fh:
-        base = json.load(fh)
     failures = []
     for key, val in measured.items():
         ref = base["values"][key]

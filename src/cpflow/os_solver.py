@@ -205,23 +205,24 @@ def sigma_values(phi, dphi, p, grid):
     Where F vanishes at a wall (at most a simple zero under the
     no-reversal condition) the value is the l'Hopital limit phi'/F', which
     is zero for clamped phi.  A double zero of F at a wall cannot occur
-    for admissible nonzero coefficients and raises.
+    for admissible nonzero coefficients and raises.  ``phi`` and ``dphi``
+    hold y on the last axis; leading axes (mode rows) are batch axes.
     """
     F = p.F(grid.nodes)
     tiny = 1e-9 * np.abs(F).max()  # |F| or |F'| at a wall below this counts as zero
     sigma = np.empty_like(np.asarray(phi, dtype=complex))
     interior = slice(1, grid.N)
-    sigma[interior] = phi[interior] / F[interior]
+    sigma[..., interior] = phi[..., interior] / F[interior]
     for idx, ypt in ((0, 1.0), (grid.N, -1.0)):
         if abs(F[idx]) > tiny:
-            sigma[idx] = phi[idx] / F[idx]
+            sigma[..., idx] = phi[..., idx] / F[idx]
         else:
             fp = p.Fp(ypt)
             if abs(fp) <= tiny:
                 raise DomainError(
                     f"F and F' both vanish at y={ypt:+.0f}; sigma undefined"
                 )
-            sigma[idx] = dphi[idx] / fp
+            sigma[..., idx] = dphi[..., idx] / fp
     return sigma
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "check_admissibility",
     "poiseuille_for_flux",
     "couette",
-    "constant_flow",
     "base_pressure_gradient",
     "flux",
 ]
@@ -49,16 +48,9 @@ class Profile:
     def Fp(self, y):
         return 6.0 * self.A * y + self.B
 
-    def Fpp(self, y):
-        return 6.0 * self.A * np.ones_like(np.asarray(y, dtype=float))
-
     def to_dict(self):
         """Flat record used by the JSON result schema."""
         return {"A": self.A, "B": self.B, "C": self.C}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(float(d["A"]), float(d["B"]), float(d["C"]))
 
 
 @dataclass(frozen=True)
@@ -136,10 +128,3 @@ def couette(b):
     if b == 0.0:
         raise DomainError("Couette profile needs a nonzero shear rate")
     return Profile(A=0.0, B=b, C=b)
-
-
-def constant_flow(c):
-    """Uniform profile F(y) = c."""
-    if c == 0.0:
-        raise DomainError("constant profile needs a nonzero speed")
-    return Profile(A=0.0, B=0.0, C=c)

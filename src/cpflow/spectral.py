@@ -21,7 +21,6 @@ __all__ = [
     "chebyshev_nodes",
     "chebyshev_diff",
     "clenshaw_curtis_weights",
-    "sobolev_norm",
     "h_minus1_norm",
     "poincare_ratio",
 ]
@@ -147,18 +146,6 @@ class GridFunction:
 
     def l2_norm(self):
         return self.grid.l2_norm(self.values)
-
-
-def sobolev_norm(f, m):
-    """H^m norm (sum over derivative orders 0..m) by quadrature."""
-    if not 0 <= m <= 3:
-        raise DomainError(f"derivative order must lie in 0..3, got {m}")
-    g = f.grid
-    total = g.quad(np.abs(f.values) ** 2).real
-    D = (g.D1, g.D2, g.D3)
-    for k in range(1, m + 1):
-        total += g.quad(np.abs(D[k - 1] @ f.values) ** 2).real
-    return float(np.sqrt(total))
 
 
 def h_minus1_norm(h):

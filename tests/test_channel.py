@@ -14,6 +14,8 @@ from cpflow.channel import (
     analyze,
     check_symmetry_cancellation,
     field_h_norm,
+    field_header,
+    field_norms,
     gamma_energy,
     n_x_points,
     product_points,
@@ -23,7 +25,6 @@ from cpflow.channel import (
     symmetry_project,
     synthesize,
     x_grid,
-    x_norm,
 )
 from cpflow.errors import DomainError, InadmissibleProfileError, ResolutionError
 from cpflow.nonlinear import random_force
@@ -337,18 +338,27 @@ class TestSynthesis:
         assert np.abs(tail - want).max() <= 1e-12 * want.max()
 
 
+def scalar_window_norm(sm, m, xi0, K, grid):
+    """Windowed H^m norm of the scalar with modes ``sm`` (rows k = -K..K) on unit-width slabs,
+    from the private Gram and window helpers at the tensor-grid offsets."""
+    ikx = (1j * xi0 * np.arange(-K, K + 1))[:, None]
+    dy = (sm, sm @ grid.D1.T, sm @ grid.D2.T)
+    sets = [dy[b] if b == total else dy[b] * ikx ** (total - b)
+            for total in range(m + 1) for b in range(total + 1)]
+    gram = channel._gram(sets, [grid.quad_weights] * len(sets))
+    return float(np.sqrt(channel._windows([gram], xi0, K, x_grid(xi0, K), 1.0).max()))
+
+
 class TestWindowedNorms:
     def test_constant_scalar(self, grid32):
-        fld = ChannelField.zero(1.0, 4, grid32)
         sm = np.zeros((9, grid32.N + 1), dtype=complex)
         sm[4] = 2.5
-        assert x_norm(fld, 0, scalar_modes=sm) == pytest.approx(2.5 * np.sqrt(2.0), rel=1e-13)
+        assert scalar_window_norm(sm, 0, 1.0, 4, grid32) == pytest.approx(2.5 * np.sqrt(2.0), rel=1e-13)
 
     def test_x_independent_profile(self, grid32):
-        fld = ChannelField.zero(1.0, 4, grid32)
         sm = np.zeros((9, grid32.N + 1), dtype=complex)
         sm[4] = np.cos(grid32.nodes)
-        got = x_norm(fld, 1, scalar_modes=sm)
+        got = scalar_window_norm(sm, 1, 1.0, 4, grid32)
         exact = np.sqrt(
             grid32.quad(np.cos(grid32.nodes) ** 2) + grid32.quad(np.sin(grid32.nodes) ** 2)
         )
@@ -356,12 +366,11 @@ class TestWindowedNorms:
 
     def test_single_mode_against_window_scan(self, grid32):
         K = 8
-        fld = ChannelField.zero(1.0, K, grid32)
         shape = 1.0 - grid32.nodes**2
         sm = np.zeros((2 * K + 1, grid32.N + 1), dtype=complex)
         sm[K + 1] = shape / 2.0j
         sm[K - 1] = -shape / 2.0j  # sin(x) * shape
-        got = x_norm(fld, 0, scalar_modes=sm)
+        got = scalar_window_norm(sm, 0, 1.0, K, grid32)
         # brute-force scan at 4x the offset resolution, analytic x-integral
         best = 0.0
         for a in np.linspace(0.0, 2.0 * np.pi, 4 * 4 * (K + 1), endpoint=False):
@@ -373,9 +382,9 @@ class TestWindowedNorms:
 
     def test_window_norm_below_cell_norm(self, grid32, rng):
         for _ in range(5):
-            fld = random_field(rng, grid32, 4, 1.0, 1.0)
+            h, x = field_norms(random_field(rng, grid32, 4, 1.0, 1.0))
             for m in (0, 1, 2):
-                assert x_norm(fld, m) <= field_h_norm(fld, m) * (1.0 + 1e-10)
+                assert x[m] <= h[m] * (1.0 + 1e-10)
 
 
 def _derivative_mode_sets(modes, xi0, K, grid, m):
@@ -421,9 +430,29 @@ class TestXNormProduct:
         force = random_force(rng, grid32, K, xi0, 1.0)
         fields.append(LinearizedChannelSolver(POISEUILLE, grid32, K, xi0).solve(force))
         for fld in fields:
+            x = field_norms(fld)[1]
             for m in (0, 1, 2):
                 want = loop_x_norm(fld, m)
-                assert abs(x_norm(fld, m) - want) <= 1e-13 * want
+                assert abs(x[m] - want) <= 1e-13 * want
+
+
+class TestFieldNorms:
+    def test_h_norms_equal_field_h_norm(self, grid32):
+        fld = random_field(np.random.default_rng(3), grid32, 16, 0.7, 1.0)
+        h = field_norms(fld)[0]
+        assert [h[m] for m in (0, 1, 2)] == [field_h_norm(fld, m) for m in (0, 1, 2)]
+
+    def test_field_header_builds_one_y_stack(self, grid32, monkeypatch):
+        fld = random_field(np.random.default_rng(4), grid32, 8, 1.0, 1.0)
+        calls = []
+
+        def counted(rows, grid):
+            calls.append(rows.shape)
+            return _y_stack(rows, grid)
+
+        monkeypatch.setattr(channel, "_y_stack", counted)
+        field_header(fld, POISEUILLE)
+        assert len(calls) == 1
 
 
 def centered_window(dk, xi0, L, period):
@@ -483,6 +512,23 @@ class TestGammaEnergy:
             g_ref, c_ref = loop_gamma_energy(p, fld, L)
             assert abs(rep.gamma_L[L] - g_ref) <= 1e-13 * g_ref
             assert abs(rep.gamma_control[L] - c_ref) <= 1e-13 * c_ref
+
+    def test_gram_count_independent_of_L_list(self, grid32, monkeypatch):
+        calls = []
+        gram = channel._gram
+
+        def counted(sets, weights):
+            calls.append(len(sets))
+            return gram(sets, weights)
+
+        monkeypatch.setattr(channel, "_gram", counted)
+        fld = random_field(np.random.default_rng(5), grid32, 4, 1.0, 1.0)
+        counts = []
+        for Ls in ([1.0], [0.5, 1.0, 2.0, np.pi, 10.0, 20.0]):
+            calls.clear()
+            gamma_energy(POISEUILLE, fld, Ls)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_zero_field(self, grid32):
         rep = gamma_energy(POISEUILLE, ChannelField.zero(1.0, 4, grid32), [1.0, 2.0])

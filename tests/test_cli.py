@@ -478,6 +478,58 @@ class TestRegression:
         code = run_cli(["regression", "--baseline", str(tmp_path / "none.json")])
         assert code == 2
 
+    @staticmethod
+    def no_measurement(monkeypatch):
+        def measure_baseline(args, p):
+            raise AssertionError("measured before checking the baseline")
+
+        monkeypatch.setattr(cli, "measure_baseline", measure_baseline)
+
+    @pytest.mark.parametrize("record", [False, True], ids=["compare", "record"])
+    def test_output_naming_the_baseline_is_config_error(self, tmp_path, monkeypatch, record):
+        self.no_measurement(monkeypatch)
+        base = tmp_path / "b.json"
+        base.write_text('{"values": {}}\n')
+        before = base.read_bytes()
+        argv = ["regression", "--baseline", str(base), "--output", str(tmp_path / "." / "b.json")]
+        assert run_cli(argv + ["--record"] if record else argv) == 2
+        assert base.read_bytes() == before
+
+    def test_record_into_new_baseline_named_by_output_is_config_error(self, tmp_path, monkeypatch):
+        self.no_measurement(monkeypatch)
+        base = tmp_path / "b.json"
+        assert run_cli(["regression", "--baseline", str(base), "--output", str(base), "--record"]) == 2
+        assert not base.exists()
+
+    @pytest.mark.parametrize("text", [
+        "not json {",
+        "[1, 2]",
+        '{"schema": "cpflow-baseline/1"}',
+        '{"values": {"kappa0": 1.0, "c1": 2.0}}',
+        '{"values": {"kappa0": "1.0", "c1": 2.0, "contraction_ratio": 0.5,'
+        ' "apriori_ratio_bound": 1.0, "neutral_minus3A": 5772.2, "neutral_T0": 1.02,'
+        ' "neutral_im_over_T0": 0.26}}',
+        '{"values": {"kappa0": 1.0, "c1": 2.0, "contraction_ratio": 0.5,'
+        ' "apriori_ratio_bound": 1.0, "neutral_minus3A": 5772.2, "neutral_T0": 1.02,'
+        ' "neutral_im_over_T0": 0.26}, "tolerances": [1e-6]}',
+    ], ids=["not-json", "not-a-dict", "no-values", "missing-key", "not-a-number", "bad-tolerances"])
+    def test_incomplete_baseline_is_config_error(self, tmp_path, monkeypatch, text):
+        self.no_measurement(monkeypatch)
+        base = tmp_path / "b.json"
+        base.write_text(text)
+        before = base.read_bytes()
+        out = tmp_path / "reg.json"
+        assert run_cli(["regression", "--baseline", str(base), "--output", str(out)]) == 2
+        assert base.read_bytes() == before
+        assert not out.exists()
+
+    def test_unreadable_baseline_is_config_error(self, tmp_path, monkeypatch):
+        self.no_measurement(monkeypatch)
+        (tmp_path / "b.json").mkdir()
+        code = run_cli(["regression", "--baseline", str(tmp_path / "b.json"),
+                        "--output", str(tmp_path / "reg.json")])
+        assert code == 2
+
 
 class TestNeutralSearchCommand:
     def test_quick_search(self, tmp_path):

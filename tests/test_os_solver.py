@@ -11,6 +11,7 @@ from cpflow.os_solver import (
     bordered_system,
     os_operator_matrix,
     sigma_diagnostics,
+    sigma_values,
     solve_os_mode,
     solve_os_zero_mode,
 )
@@ -201,6 +202,17 @@ class TestAprioriRatio:
             r_h, r_l2 = apriori_ratio(sol, h)
             vals.append(min(r_h, r_l2))
         assert max(vals) < 1.0
+
+
+class TestSigmaValues:
+    @pytest.mark.parametrize("p", [POISEUILLE, Profile(-0.7, 0.3, 3.0)], ids=["wall-zeros", "skewed"])
+    def test_stack_equals_row_calls(self, grid32, p):
+        K = 16
+        rng = np.random.default_rng(6)
+        phi = rng.normal(size=(2 * K + 1, grid32.N + 1)) + 1j * rng.normal(size=(2 * K + 1, grid32.N + 1))
+        dphi = phi @ grid32.D1.T
+        rows = np.array([sigma_values(phi[j], dphi[j], p, grid32) for j in range(2 * K + 1)])
+        assert np.array_equal(sigma_values(phi, dphi, p, grid32), rows)
 
 
 class TestSigmaDiagnostics:
