@@ -59,3 +59,7 @@ class NeutralToleranceError(CpflowError, RuntimeError):
 
 class ConfigError(CpflowError, ValueError):
     """Invalid command-line / config-file input."""
+
+
+class BaselineMismatchError(CpflowError):
+    """A measured constant left its baseline tolerance (exit 4)."""

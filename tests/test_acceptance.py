@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from cpflow import verify
 from cpflow.channel import (
     ForceField,
     LinearizedChannelSolver,
@@ -49,7 +50,7 @@ from cpflow.nonlinear import (
 from cpflow.os_solver import apriori_ratio, solve_os_mode
 from cpflow.profiles import Profile, check_admissibility, poiseuille_for_flux
 from cpflow.spectral import GridFunction, build_grid, h_minus1_norm, poincare_ratio
-from cpflow.spectrum import kernel_witness, neutral_search, os_spectrum
+from cpflow.spectrum import kernel_witness, os_spectrum
 from manufactured import ModePoly, linearized_force
 
 POISEUILLE = poiseuille_for_flux(4.0)
@@ -398,27 +399,13 @@ def test_criterion_09_injectivity_witness(neutral_full):
 
 
 def _regression_snapshot():
-    grid = build_grid(40)
-    k0 = measure_kappa0(POISEUILLE, grid, 4, 1.0, n_samples=8, seed=1)
-    c1 = measure_c1(grid, 4, 1.0, n_pairs=8, seed=2)
-    delta = contraction_ball_radius(k0, c1)
-    ratio = measure_contraction(POISEUILLE, None, delta, grid, 4, 1.0, n_pairs=8, seed=3)
+    # the regression command's measurement, plus the a priori ratios of one mode solve
+    measured = verify.measure_baseline(POISEUILLE, N=40, K=4, xi0=1.0, seed=1)
     g64 = build_grid(64)
     h = GridFunction.from_callable(g64, lambda y: np.sin(np.pi * y))
-    sol = solve_os_mode(POISEUILLE, 1.0, h, g64)
-    r_h, r_l2 = apriori_ratio(sol, h)
-    npt = neutral_search((0.9, 1.15), (5600.0, 6000.0), tol=1e-3, N=96, N_check=144,
-                         T_tol=1e-4, agreement_rtol=5e-3)
-    return {
-        "kappa0": (k0, 1e-6),
-        "c1": (c1, 1e-6),
-        "contraction_ratio": (ratio, 1e-6),
-        "r_hminus1": (r_h, 1e-6),
-        "r_l2": (r_l2, 1e-6),
-        "neutral_minus3A": (-3.0 * npt.A1, 1e-3),
-        "neutral_T0": (npt.T0, 1e-3),
-        "neutral_im_over_T0": (npt.lambda1.imag / npt.T0, 1e-3),
-    }
+    r_h, r_l2 = apriori_ratio(solve_os_mode(POISEUILLE, 1.0, h, g64), h)
+    return {**{key: (val, verify.BASELINE_TOLERANCES[key]) for key, val in measured.items()},
+            "r_hminus1": (r_h, 1e-6), "r_l2": (r_l2, 1e-6)}
 
 
 def test_criterion_10_regression_stability():
@@ -435,6 +422,6 @@ def test_criterion_10_regression_stability():
     report(
         "10 regression stability",
         ok,
-        f"8 constants reproducible across three runs "
+        f"{len(runs[0])} constants reproducible across three runs "
         f"({'OK' if not bad else '; '.join(bad)}), {elapsed:.0f}s",
     )

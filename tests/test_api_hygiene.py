@@ -61,7 +61,8 @@ def unreferenced():
 
 def test_scan_sees_the_library_modules():
     names = {m.stem for m in SUBMODULES if exported(m)}
-    assert names >= {"channel", "forcing", "nonlinear", "os_solver", "profiles", "spectral", "spectrum"}
+    assert names >= {"channel", "forcing", "nonlinear", "os_solver", "profiles", "spectral", "spectrum",
+                     "verify"}
 
 
 def test_every_exported_name_is_used_by_the_program():

@@ -1,4 +1,6 @@
 import argparse
+import ast
+import inspect
 import json
 import math
 import os
@@ -9,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cpflow import cli, nonlinear, spectral, spectrum
+from cpflow import cli, nonlinear, spectral, spectrum, verify
 from cpflow.cli import main
 from cpflow.errors import ConfigError
 from cpflow.forcing import compile_expression
@@ -271,6 +273,15 @@ class TestConfigFile:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: config value N='abc'")
 
+    def test_required_flags_from_the_file(self, tmp_path):
+        # the file's A and T used to leave "the following arguments are required: --A, --T", exit 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("A=-0.2\nT=1.0\n")
+        out = tmp_path / "s.json"
+        assert run_cli(["spectrum", "--config", str(cfg), "--N", "32", "--output", str(out)]) == 0
+        data, _ = load_payload(out)
+        assert (data["config"]["A"], data["config"]["T"]) == (-0.2, 1.0)
+
     def test_value_outside_choices_is_config_error(self, tmp_path, capsys, monkeypatch):
         def not_reached(*args, **kwargs):
             raise AssertionError("solver built before the config check")
@@ -381,6 +392,39 @@ class TestVerifyAndSymmetry:
         assert code == 2
 
 
+class TestGatePaths:
+    """A failed gate writes its JSON and summary, then exits 3 (4 for regression, above)."""
+
+    def test_failing_estimate_battery_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "poincare_ratio", lambda f: 0.0)
+        out = tmp_path / "v.json"
+        argv = ["verify-estimates", "--profile", "poiseuille", "--N", "16", "--output", str(out)]
+        assert run_cli(argv) == 3
+        res = load_payload(out)[0]["results"]
+        assert res["all_green"] is False and res["checks"]["poincare_equality"] is False
+        captured = capsys.readouterr()
+        assert captured.out == f"verify-estimates: FAILED -> {out}\n"
+        assert captured.err == "solver error: CpflowError: estimate verification failed; see report\n"
+
+    def test_symmetry_violation_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "check_symmetry_cancellation", lambda p, fld: (1e-3, 0.0))
+        out = tmp_path / "s.json"
+        argv = ["symmetry-check", "--A", "-1", "--B", "0", "--C", "3.5", "--N", "16", "--K", "2"]
+        assert run_cli(argv + ["--output", str(out)]) == 3
+        res = load_payload(out)[0]["results"]
+        assert res["ok"] is False and res["worst_cancellation"] >= 1e-10
+        assert "symmetry cancellation violated" in capsys.readouterr().err
+
+    def test_commands_do_not_write_print_or_exit(self):
+        # main writes the JSON, prints the summary and maps the failure to an exit code
+        tree = ast.parse(inspect.getsource(cli))
+        commands = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+        assert len(commands) == len(cli.COMMANDS)
+        calls = {(f.name, ast.unparse(node.func)) for f in commands for node in ast.walk(f)
+                 if isinstance(node, ast.Call)}
+        assert {c for c in calls if c[1] in ("write_json", "print", "sys.exit")} == set()
+
+
 class TestSolveNonlinear:
     def test_small_force_converges(self, tmp_path):
         out = tmp_path / "nl.json"
@@ -427,7 +471,7 @@ class TestSolveNonlinear:
         def measured_ball(*args):
             raise AssertionError("ball measured before the config check")
 
-        monkeypatch.setattr(cli, "_measured_ball", measured_ball)
+        monkeypatch.setattr(verify, "measured_ball", measured_ball)
         code = run_cli(
             ["solve-nonlinear", "--profile", "poiseuille", "--flux", "2", "--N", "32",
              "--K", "4", "--symmetry", "X1", "--f", "0.02*cos(x)*(1-y**2)", "--g", "0.0*y",
@@ -468,22 +512,21 @@ class TestRegression:
         data["values"]["kappa0"] *= 1.5
         base.write_text(json.dumps(data))
         assert run_cli(args) == 4
+        failures = load_payload(tmp_path / "reg.json")[0]["results"]["failures"]
+        assert [f.split(":")[0] for f in failures] == ["kappa0"]
 
     def test_missing_baseline_is_config_error(self, tmp_path, monkeypatch):
         # the file is checked before anything is measured
-        def measure_baseline(args, p):
-            raise AssertionError("measured before checking the baseline file")
-
-        monkeypatch.setattr(cli, "measure_baseline", measure_baseline)
+        self.no_measurement(monkeypatch)
         code = run_cli(["regression", "--baseline", str(tmp_path / "none.json")])
         assert code == 2
 
     @staticmethod
     def no_measurement(monkeypatch):
-        def measure_baseline(args, p):
+        def measure_baseline(*args):
             raise AssertionError("measured before checking the baseline")
 
-        monkeypatch.setattr(cli, "measure_baseline", measure_baseline)
+        monkeypatch.setattr(verify, "measure_baseline", measure_baseline)
 
     @pytest.mark.parametrize("record", [False, True], ids=["compare", "record"])
     def test_output_naming_the_baseline_is_config_error(self, tmp_path, monkeypatch, record):
@@ -501,18 +544,30 @@ class TestRegression:
         assert run_cli(["regression", "--baseline", str(base), "--output", str(base), "--record"]) == 2
         assert not base.exists()
 
+    @staticmethod
+    def baseline_text(kappa0="1.0", tolerances=None):
+        values = ('{"kappa0": %s, "c1": 2.0, "contraction_ratio": 0.5, "apriori_ratio_bound": 1.0,'
+                  ' "neutral_minus3A": 5772.2, "neutral_T0": 1.02, "neutral_im_over_T0": 0.26}' % kappa0)
+        return '{"values": %s%s}' % (values, "" if tolerances is None else ', "tolerances": ' + tolerances)
+
     @pytest.mark.parametrize("text", [
         "not json {",
         "[1, 2]",
         '{"schema": "cpflow-baseline/1"}',
         '{"values": {"kappa0": 1.0, "c1": 2.0}}',
-        '{"values": {"kappa0": "1.0", "c1": 2.0, "contraction_ratio": 0.5,'
-        ' "apriori_ratio_bound": 1.0, "neutral_minus3A": 5772.2, "neutral_T0": 1.02,'
-        ' "neutral_im_over_T0": 0.26}}',
-        '{"values": {"kappa0": 1.0, "c1": 2.0, "contraction_ratio": 0.5,'
-        ' "apriori_ratio_bound": 1.0, "neutral_minus3A": 5772.2, "neutral_T0": 1.02,'
-        ' "neutral_im_over_T0": 0.26}, "tolerances": [1e-6]}',
-    ], ids=["not-json", "not-a-dict", "no-values", "missing-key", "not-a-number", "bad-tolerances"])
+        baseline_text('"1.0"'),
+        baseline_text(tolerances="[1e-6]"),
+        # a negative tolerance made math.isclose raise a ValueError traceback (exit 1)
+        baseline_text(tolerances='{"kappa0": -1e-6}'),
+        baseline_text(tolerances='{"kappa0": NaN}'),
+        baseline_text(tolerances='{"kappa0": Infinity}'),
+        baseline_text(tolerances='{"kappa0": true}'),
+        baseline_text("true"),
+        baseline_text("NaN"),
+        baseline_text("-1e400"),
+    ], ids=["not-json", "not-a-dict", "no-values", "missing-key", "not-a-number", "bad-tolerances",
+            "negative-tolerance", "nan-tolerance", "inf-tolerance", "boolean-tolerance",
+            "boolean-value", "nan-value", "inf-value"])
     def test_incomplete_baseline_is_config_error(self, tmp_path, monkeypatch, text):
         self.no_measurement(monkeypatch)
         base = tmp_path / "b.json"
@@ -529,6 +584,43 @@ class TestRegression:
         code = run_cli(["regression", "--baseline", str(tmp_path / "b.json"),
                         "--output", str(tmp_path / "reg.json")])
         assert code == 2
+
+    MEASURED = dict.fromkeys(verify.BASELINE_TOLERANCES, 1.0)
+
+    def fake_measurement(self, monkeypatch):
+        monkeypatch.setattr(verify, "measure_baseline", lambda *args: dict(self.MEASURED))
+
+    def test_config_file_supplies_baseline_and_record(self, tmp_path, monkeypatch):
+        # --baseline is required, and a file that set it used to exit 2
+        self.fake_measurement(monkeypatch)
+        base, cfg = tmp_path / "b.json", tmp_path / "reg.cfg"
+        cfg.write_text(f"baseline={base}\nrecord=true\n")
+        assert run_cli(["regression", "--config", str(cfg), "--output", str(tmp_path / "reg.json")]) == 0
+        assert json.loads(base.read_text())["values"] == self.MEASURED
+
+    def test_record_false_in_config_compares(self, tmp_path, monkeypatch, capsys):
+        # the raw string "false" was truthy: the run recorded over the tampered baseline, exit 0
+        self.fake_measurement(monkeypatch)
+        base, cfg, out = tmp_path / "b.json", tmp_path / "reg.cfg", tmp_path / "reg.json"
+        verify.record_baseline(base, {**self.MEASURED, "kappa0": 1.5})
+        before = base.read_bytes()
+        cfg.write_text("record=false\n")
+        argv = ["regression", "--baseline", str(base), "--config", str(cfg), "--output", str(out)]
+        assert run_cli(argv) == 4
+        assert base.read_bytes() == before
+        res = load_payload(out)[0]["results"]
+        assert res["failures"] == ["kappa0: measured 1.0 vs baseline 1.5 (tol 1e-06)"]
+        assert res["numerics"] == {"N": 48, "K": 8, "xi0": 1.0}
+        assert capsys.readouterr().out.startswith("regression FAILED:\n  kappa0: measured 1.0")
+
+    def test_switch_value_other_than_true_or_false_is_config_error(self, tmp_path, monkeypatch, capsys):
+        self.no_measurement(monkeypatch)
+        base, cfg = tmp_path / "b.json", tmp_path / "reg.cfg"
+        cfg.write_text("record=maybe\n")
+        assert run_cli(["regression", "--baseline", str(base), "--config", str(cfg),
+                        "--output", str(tmp_path / "reg.json")]) == 2
+        assert capsys.readouterr().err.startswith("config error: config value record='maybe'")
+        assert not base.exists()
 
 
 class TestNeutralSearchCommand:
