@@ -6,7 +6,10 @@ mode problem at wavenumber k*xi0 and the stream function is synthesized as
 
     psi(x, y) = sum_k phi_k(y) exp(i k xi0 x),    v = psi_y,  w = -psi_x.
 
-Mode -k is the conjugate of mode k (real fields).  The k = 0 mean mode
+Every field is real, so mode -k is the conjugate of mode k and is never
+stored: mode arrays (stream functions, forces, advection terms, pressure
+gradients) hold modes k = 0..K, row k holding mode k, and the norms
+count each row k >= 1 twice, for modes k and -k.  The k = 0 mean mode
 solves the fourth-derivative reduction; its additive constant is fixed by
 psi(x, -1) = 0, which together with psi(x, +1) = 0 enforces zero
 perturbation flux through every section.  The mean streamwise pressure
@@ -68,20 +71,14 @@ def x_grid(xi0, K):
     return np.arange(Mx) * (period / Mx)
 
 
-def synthesize(modes, xi0, K):
-    """Real part of sum_k modes[..., k, :] exp(i k xi0 x), k = -K..K, on ``x_grid``.
+def synthesize(modes):
+    """Values on ``x_grid`` of the real field with modes k = 0..K in rows ``modes[..., k, :]``.
 
-    Leading axes are batch axes.  There the phases are exp(2 pi i k j / Mx)
-    whatever xi0, and the real part of the sum is the inverse real FFT of
-    the Hermitian part d_k = (c_k + conj c_-k) / 2, k = 0..K.
+    Leading axes are batch axes.  The phases at the grid points are
+    exp(2 pi i k j / Mx) whatever xi0, so the sum over k = -K..K is the
+    inverse real FFT of the rows; the imaginary part of row 0 is ignored.
     """
-    return np.fft.irfft(_half(modes, K), n=n_x_points(K), axis=-2, norm="forward")
-
-
-def _half(modes, K):
-    """Hermitian half d_k = (c_k + conj c_-k) / 2, k = 0..K, of modes k = -K..K on axis -2;
-    on a real field (mode -k the conjugate of mode k) d_k is c_k bit for bit."""
-    return 0.5 * (modes[..., K:, :] + np.conj(modes[..., K::-1, :]))
+    return np.fft.irfft(modes, n=n_x_points(modes.shape[-2] - 1), axis=-2, norm="forward")
 
 
 def _mirror(half):
@@ -90,7 +87,7 @@ def _mirror(half):
 
 
 def analyze(values, K):
-    """Fourier coefficients k = -K..K of real tensor-grid data (x on axis -2).
+    """Fourier coefficients k = 0..K of real tensor-grid data (x on axis -2).
 
     Leading axes are batch axes.  Returns (modes, tail_fraction) where
     tail_fraction, one per batch entry, is the energy of the discarded
@@ -104,7 +101,7 @@ def analyze(values, K):
     total = energy.sum(axis=-1)
     lost = np.maximum(total - energy[..., : K + 1].sum(axis=-1), 0.0)
     tail = np.divide(lost, total, out=np.zeros_like(total), where=total > 0.0)
-    return _mirror(half[..., : K + 1, :]), tail
+    return half[..., : K + 1, :], tail
 
 
 @dataclass(frozen=True)
@@ -134,13 +131,12 @@ class ForceField:
         return cls(xi0, K, grid, np.zeros(shape), np.zeros(shape))
 
     def modes(self):
-        """Per-mode coefficients with a resolution check on the tail (analyzed once)."""
-        fm, gm = _mirror(self._half_modes)
-        return fm, gm
+        """Read-only modes k = 0..K of (f, g), resolution-checked on the tail."""
+        return self._modes
 
     @cached_property
-    def _half_modes(self):
-        """Modes k = 0..K of (f, g): a held force keeps half the full layout."""
+    def _modes(self):
+        """The one analysis of (f, g); every ``modes()`` call returns these arrays."""
         try:
             with np.errstate(over="raise"):
                 modes, tails = analyze(np.stack([self.f, self.g]), self.K)
@@ -153,7 +149,8 @@ class ForceField:
                 f"force not resolved by modes |k| <= {self.K}: "
                 f"tail energy fraction {tail:.3e}"
             )
-        return modes[:, self.K :].copy()
+        modes.flags.writeable = False
+        return tuple(modes)
 
     def l2_norm(self):
         """L2 norm of the vector force over one periodic cell."""
@@ -170,13 +167,13 @@ class ChannelField:
     xi0: float
     K: int
     grid: object
-    psi_modes: np.ndarray  # (2K+1, N+1), row j holds mode k = j - K
+    psi_modes: np.ndarray  # (K+1, N+1), row k holds mode k
     _solve_info: object = field(default=None, compare=False, repr=False)  # callable
 
     def __post_init__(self):
         pm = np.asarray(self.psi_modes, dtype=complex)
-        if pm.shape != (2 * self.K + 1, self.grid.N + 1):
-            raise DomainError("psi_modes shape does not match (2K+1, N+1)")
+        if pm.shape != (self.K + 1, self.grid.N + 1):
+            raise DomainError("psi_modes shape does not match (K+1, N+1)")
         if not np.isfinite(pm).all():
             raise DomainError("psi_modes must be finite")
         object.__setattr__(self, "psi_modes", pm)
@@ -187,33 +184,31 @@ class ChannelField:
         return None if self._solve_info is None else self._solve_info()
 
     # --- mode access -------------------------------------------------
-    def mode(self, k):
-        return self.psi_modes[k + self.K]
+    def ik(self):
+        """i k xi0 for the rows k = 0..K, as a column."""
+        return (1j * self.xi0 * np.arange(self.K + 1))[:, None]
 
     def v_modes(self):
         return self.psi_modes @ self.grid.D1.T
 
     def w_modes(self):
-        ks = np.arange(-self.K, self.K + 1)
-        return -1j * self.xi0 * ks[:, None] * self.psi_modes
+        return -self.ik() * self.psi_modes
 
     # --- synthesized values ------------------------------------------
     def x(self):
         return x_grid(self.xi0, self.K)
 
     def v_values(self):
-        return synthesize(self.v_modes(), self.xi0, self.K)
+        return synthesize(self.v_modes())
 
     def w_values(self):
-        return synthesize(self.w_modes(), self.xi0, self.K)
+        return synthesize(self.w_modes())
 
     # --- pointwise constraint checks ---------------------------------
     def divergence_max(self):
         """max |v_x + w_y| on the tensor grid."""
-        ks = np.arange(-self.K, self.K + 1)
-        vx = (1j * self.xi0 * ks[:, None]) * self.v_modes()
         wy = self.w_modes() @ self.grid.D1.T
-        return float(np.abs(synthesize(vx + wy, self.xi0, self.K)).max())
+        return float(np.abs(synthesize(self.ik() * self.v_modes() + wy)).max())
 
     def flux_profile(self):
         """Perturbation flux int v dy at every x sample."""
@@ -221,9 +216,7 @@ class ChannelField:
 
     def shifted(self, dx):
         """Field translated by dx in x (mode-wise phase factors)."""
-        ks = np.arange(-self.K, self.K + 1)
-        phase = np.exp(-1j * self.xi0 * ks * dx)
-        return replace(self, psi_modes=self.psi_modes * phase[:, None], _solve_info=None)
+        return replace(self, psi_modes=self.psi_modes * np.exp(-self.ik() * dx), _solve_info=None)
 
     def scaled(self, alpha):
         return replace(self, psi_modes=self.psi_modes * alpha, _solve_info=None)
@@ -235,12 +228,17 @@ class ChannelField:
 
     @classmethod
     def zero(cls, xi0, K, grid):
-        return cls(xi0, K, grid, np.zeros((2 * K + 1, grid.N + 1), dtype=complex))
+        return cls(xi0, K, grid, np.zeros((K + 1, grid.N + 1), dtype=complex))
 
 
-def _cell_l2sq(modes, xi0, grid, mult=1.0):
-    """Squared L2 norm over one periodic cell from mode coefficients, row j taken mult[j] times."""
-    period = 2.0 * math.pi / xi0
+def _pair_weights(K):
+    """1, 2, 2, ..., 2 for the rows k = 0..K: row k >= 1 stands for modes k and -k."""
+    return np.r_[1.0, np.full(K, 2.0)]
+
+
+def _cell_l2sq(modes, xi0, grid):
+    """Squared L2 norm over one periodic cell of the real field with modes k = 0..K."""
+    period, mult = 2.0 * math.pi / xi0, _pair_weights(len(modes) - 1)
     return period * float((mult * (np.abs(modes) ** 2 @ grid.quad_weights)).sum())
 
 
@@ -254,9 +252,9 @@ def _y_stack(rows, grid):
     return X, R1, R1[:, : grid.N + 1] @ dy
 
 
-def _stack_h_norm(stack, grid, xi0, ks, mult, m):
-    """``field_h_norm`` from the y-stack of mode rows k = ``ks``, row j counted mult[j] times."""
-    n, nk = grid.N + 1, len(ks)
+def _stack_h_norm(stack, grid, xi0, m):
+    """``field_h_norm`` from the ``_y_stack`` of the mode rows k = 0..K."""
+    n, nk = grid.N + 1, len(stack[0]) // 2
 
     def sq(A):  # quadrature-weighted squares per block and mode
         A = A.reshape(len(A), -1, n)
@@ -264,19 +262,13 @@ def _stack_h_norm(stack, grid, xi0, ks, mult, m):
         return s[:, :nk] + s[:, nk:]
 
     (psi,), (psi_y, psi_yy), (v_y, v_yy) = (sq(A) for A in stack)
-    kappa2 = (xi0 * ks) ** 2
+    kappa2, mult = (xi0 * np.arange(nk)) ** 2, _pair_weights(nk - 1)
     v_sq, psi_sq = (psi_y, v_y, v_yy), (psi, psi_y, psi_yy)
     total = 0.0
     for b in range(m + 1):
         c_b = mult * sum(kappa2**a for a in range(m - b + 1))
         total += float(c_b @ (v_sq[b] + kappa2 * psi_sq[b]))
     return math.sqrt(2.0 * math.pi / xi0 * total)
-
-
-def _half_h_norm(stack, fld, m):
-    """``field_h_norm`` of a real field laid out like ``fld``, from the ``_y_stack`` of its half."""
-    mult = np.r_[1.0, np.full(fld.K, 2.0)]  # modes k and -k
-    return _stack_h_norm(stack, fld.grid, fld.xi0, np.arange(fld.K + 1), mult, m)
 
 
 def field_h_norm(fld, m):
@@ -286,13 +278,12 @@ def field_h_norm(fld, m):
     kappa = k xi0, so y-derivative order b carries the weight
     c_b = sum_{a <= m - b} kappa^(2a); and w = -i kappa psi gives
     ||D_b w_k||^2 = kappa^2 ||D_b psi_k||^2.  The y-derivatives of psi and
-    of v = D1 psi come from ``_y_stack``; the Picard loop forms the stack of
-    the Hermitian half once per iterate for the norm, the increment and the next advection.
+    of v = D1 psi come from ``_y_stack``; the Picard loop forms the stack
+    once per iterate for the norm, the increment and the next advection.
     """
     if not 0 <= m <= 2:
         raise DomainError("field Sobolev order limited to 0..2")
-    ks = np.arange(-fld.K, fld.K + 1)
-    return _stack_h_norm(_y_stack(fld.psi_modes, fld.grid), fld.grid, fld.xi0, ks, 1.0, m)
+    return _stack_h_norm(_y_stack(fld.psi_modes, fld.grid), fld.grid, fld.xi0, m)
 
 
 class LinearizedChannelSolver:
@@ -324,12 +315,13 @@ class LinearizedChannelSolver:
             self._rcond.append(float(op.rcond))
 
     def solve_modes(self, f_modes, g_modes):
-        """Solve from force modes (layout k = -K..K); ``solve_info`` is built on first read."""
+        """The field of the force with modes k = 0..K (rows) ``f_modes``, ``g_modes``;
+        its ``psi_modes`` hold modes k = 0..K too.  ``solve_info`` is built on first read."""
         K, grid, N, p, rcond = self.K, self.grid, self.grid.N, self.p, self._rcond
-        h0 = -(grid.D1 @ f_modes[K].real)
+        h0 = -(grid.D1 @ f_modes[0].real)
         sol0 = solve_os_zero_mode(GridFunction(grid, h0), grid)
         xi = self._xi[:, None]
-        h = 1j * xi * g_modes[K + 1 :] - f_modes[K + 1 :] @ grid.D1.T
+        h = 1j * xi * g_modes[1:] - f_modes[1:] @ grid.D1.T
         b = h.copy()
         b[:, [0, 1, N - 1, N]] = 0.0  # boundary rows of the bordered system
         phi = np.matmul(self._inv, b[..., None])[..., 0]
@@ -349,8 +341,7 @@ class LinearizedChannelSolver:
                 "mode_rcond": [sol0.rcond] + rcond,
             }
 
-        psi = np.concatenate([np.conj(phi[::-1]), sol0.phi.values.real[None], phi])
-        return ChannelField(self.xi0, K, grid, psi, _solve_info=info)
+        return ChannelField(self.xi0, K, grid, np.vstack([sol0.phi.values.real, phi]), _solve_info=info)
 
     def solve(self, force):
         f_modes, g_modes = force.modes()
@@ -370,10 +361,10 @@ class PressureGradient:
     curl_residual: float
 
     def qx_values(self):
-        return synthesize(self.qx_modes, self.xi0, self.K)
+        return synthesize(self.qx_modes)
 
     def qy_values(self):
-        return synthesize(self.qy_modes, self.xi0, self.K)
+        return synthesize(self.qy_modes)
 
     def l2_norm(self):
         return float(
@@ -399,8 +390,7 @@ def recover_pressure_gradient(p, fld, force, nonlinear_modes=None):
     vm = fld.v_modes()
     wm = fld.w_modes()
     f_modes, g_modes = force.modes()
-    ks = np.arange(-K, K + 1)
-    ikx = (1j * xi0 * ks)[:, None]
+    ikx = fld.ik()
     lap_v = vm @ grid.D2.T + ikx**2 * vm
     lap_w = wm @ grid.D2.T + ikx**2 * wm
     qx = f_modes + lap_v - F[None, :] * (ikx * vm) - Fp[None, :] * wm
@@ -422,10 +412,11 @@ def recover_pressure_gradient(p, fld, force, nonlinear_modes=None):
 
 
 def _gram(sets, weights):
-    """Gram matrix sum_s S_s diag(weights[s]) S_s^H of mode sets S_s (rows k = -K..K,
-    columns y), formed by one product over the stacked sets; ``weights[s]``
-    includes the quadrature weights."""
-    S = np.concatenate(sets, axis=1)
+    """Gram matrix sum_s S_s diag(weights[s]) S_s^H over all mode pairs k, l = -K..K of
+    real fields with modes k = 0..K in the rows of the sets S_s (columns y),
+    formed by one product over the stacked sets; ``weights[s]`` includes the
+    quadrature weights."""
+    S = _mirror(np.concatenate(sets, axis=1))
     return (S * np.concatenate(weights)) @ np.conj(S).T
 
 
@@ -456,11 +447,10 @@ def field_norms(fld):
     matrix of order m adds the sets d_x^a d_y^b v, d_x^a d_y^b w with
     a + b = m to that of order m - 1, and one window pass serves all three.
     """
-    K, grid, nk, n = fld.K, fld.grid, 2 * fld.K + 1, fld.grid.N + 1
-    ks = np.arange(-K, K + 1)
+    K, grid, nk, n = fld.K, fld.grid, fld.K + 1, fld.grid.N + 1
     stack = _y_stack(fld.psi_modes, grid)
-    h = {m: _stack_h_norm(stack, grid, fld.xi0, ks, 1.0, m) for m in range(3)}
-    ikx = (1j * fld.xi0 * ks)[:, None]
+    h = {m: _stack_h_norm(stack, grid, fld.xi0, m) for m in range(3)}
+    ikx = fld.ik()
     X, R1, R2 = (A[:nk] + 1j * A[nk:] for A in stack)
     psi = (X, R1[:, :n], R1[:, n:])  # y-derivatives 0..2 of the rows
     v = (R1[:, :n], R2[:, :n], R2[:, n:])  # of v = D1 psi
@@ -497,7 +487,7 @@ def gamma_energy(p, fld, L_list):
     F = p.F(grid.nodes)
     dpsi = fld.psi_modes @ grid.D1.T
     sigma = sigma_values(fld.psi_modes, dpsi, p, grid)
-    ikx = (1j * xi0 * np.arange(-K, K + 1))[:, None]
+    ikx = fld.ik()
     sx, sy, syy = ikx * sigma, sigma @ grid.D1.T, sigma @ grid.D2.T
     sxx, sxy = ikx**2 * sigma, ikx * sy
     pxx, pxy, pyy = ikx * (ikx * fld.psi_modes), ikx * dpsi, fld.psi_modes @ grid.D2.T
@@ -535,9 +525,8 @@ def symmetry_project(fld, cls):
     if cls not in SYMMETRY_CLASSES:
         raise DomainError(f"unknown symmetry class {cls!r}")
     pm = fld.psi_modes
-    if cls in ("X1", "X2"):
-        mirrored = pm[::-1]  # mode k -> mode -k
-        new = 0.5 * (pm + mirrored) if cls == "X1" else 0.5 * (pm - mirrored)
+    if cls in ("X1", "X2"):  # x -> -x sends mode k to mode -k, the conjugate of mode k
+        new = pm.real if cls == "X1" else 1j * pm.imag
     else:
         flipped = pm[:, ::-1]  # y -> -y (nodes are symmetric)
         new = 0.5 * (pm - flipped) if cls == "Y1" else 0.5 * (pm + flipped)
@@ -547,19 +536,19 @@ def symmetry_project(fld, cls):
 def stream_cross_integrals(p, fld):
     """Period integrals I1 = int F psi_yy psi_x and
     I2 = int (F psi_xx - 6A psi) psi_x, with no symmetry precondition."""
-    grid, K, xi0 = fld.grid, fld.K, fld.xi0
-    period = 2.0 * math.pi / xi0
+    grid = fld.grid
+    period = 2.0 * math.pi / fld.xi0
     F = p.F(grid.nodes)
     w = grid.quad_weights
-    ks = np.arange(-K, K + 1)
-    ikx = (1j * xi0 * ks)[:, None]
+    ikx = fld.ik()
     px = ikx * fld.psi_modes
     pyy = fld.psi_modes @ grid.D2.T
     pxx = ikx * px
+    # row 0 of psi_x is zero; modes k and -k of a row k >= 1 add twice its real part
     integrand1 = (F * w)[None, :] * pyy * np.conj(px)
-    I1 = period * float(np.real(integrand1.sum()))
+    I1 = 2.0 * period * float(np.real(integrand1.sum()))
     integrand2 = w[None, :] * (F[None, :] * pxx - 6.0 * p.A * fld.psi_modes) * np.conj(px)
-    I2 = period * float(np.real(integrand2.sum()))
+    I2 = 2.0 * period * float(np.real(integrand2.sum()))
     return I1, I2
 
 
@@ -585,16 +574,16 @@ def check_symmetry_cancellation(p, fld):
 
 
 def _random_modes(rng, shapes, K, decay):
-    """Hermitian modes k = -K..K with mode k >= 0 equal to decay^k (a_k + i b_k) @ shapes.
+    """Modes k = 0..K (rows) of a real field, mode k equal to decay^k (a_k + i b_k) @ shapes.
 
     The a_k and b_k are standard normal, b_0 = 0, drawn in one call in the
     order a_0, a_1, b_1, a_2, b_2, ...
     """
     m = len(shapes)
-    z = rng.normal(size=m * (2 * K + 1))
+    z = rng.normal(size=m + 2 * K * m)
     ab = z[m:].reshape(K, 2, m)
     c = np.vstack([z[:m], ab[:, 0] + 1j * ab[:, 1]])
-    return _mirror((c * decay ** np.arange(K + 1)[:, None]) @ shapes)
+    return (c * decay ** np.arange(K + 1)[:, None]) @ shapes
 
 
 def random_field(rng, grid, K, xi0, h2_norm):

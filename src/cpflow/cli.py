@@ -177,7 +177,7 @@ def _apply_config_file(ap, argv):
     sp = sub.choices[command]
     typed = {}
     for action in sp._actions:
-        if action.dest in pairs:
+        if action.dest in pairs and action.dest not in ("help", "config"):  # not settings of a run
             raw = pairs.pop(action.dest)
             convert = _boolean if isinstance(action, argparse._StoreTrueAction) else action.type or str
             try:  # the conversion and choices check a flag's value gets
@@ -322,6 +322,13 @@ def cmd_solve_nonlinear(args, path):
     force = _force_from_args(args, grid)
     if args.symmetry == "X1" and (force.f.any() or force.g.any()):
         raise ConfigError("--symmetry X1 needs a zero force: F d/dx takes forced solves out of X1")
+    if args.symmetry == "Y1":  # the class the map keeps for an even profile and Y1 data
+        if p.B != 0.0:
+            raise ConfigError("--symmetry Y1 needs an even profile (B = 0)")
+        f, g = force.f, force.g  # the nodes are symmetric: column j mirrors to column N - j
+        scale = max(np.abs(f).max(), np.abs(g).max())
+        if max(np.abs(f - f[:, ::-1]).max(), np.abs(g + g[:, ::-1]).max()) > 1e-12 * scale:
+            raise ConfigError("--symmetry Y1 needs a y-even f and a y-odd g")
     solver = NonlinearChannelSolver(p, grid, args.K, args.xi0)
     delta = args.delta
     if delta is None:  # the radius the measured kappa0 and c1 give

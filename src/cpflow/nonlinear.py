@@ -6,6 +6,9 @@ with 4 kappa0 ||f|| <= delta <= 1/(4 kappa0 c1) the map is a self-map and
 a contraction with factor at most 2 kappa0 c1 delta <= 1/2, where kappa0
 is the linear solvability constant and c1 the advection embedding
 constant; both are measured on the discretization rather than assumed.
+
+Fields, forces and advection terms are real and pass as their modes
+k = 0..K (row k holds mode k), the layout of ``cpflow.channel``.
 """
 
 import math
@@ -17,10 +20,8 @@ from .channel import (
     ForceField,
     LinearizedChannelSolver,
     _cell_l2sq,
-    _half,
-    _half_h_norm,
-    _mirror,
     _random_modes,
+    _stack_h_norm,
     _y_stack,
     field_h_norm,
     product_points,
@@ -83,27 +84,24 @@ class PicardTrace:
 def advection_modes(fld_a, fld_b, stack_b=None):
     """(a . grad) b evaluated pseudo-spectrally with alias-safe padding.
 
-    Both fields are real, so the work runs on their Hermitian halves
-    k = 0..K, and the quadratic products on ``product_points(K)`` >= 3K + 1
+    The quadratic products are formed on ``product_points(K)`` >= 3K + 1
     points in x, where they project exactly onto the kept modes.  b's
-    y-derivative stack of the half (``stack_b`` if the caller holds it) gives
-    psi_b, v_b and D1 v_b, and w_y = -v_x for any field, so five transforms
-    carry six factors.  Returns the two component coefficient arrays in the
-    k = -K..K layout.
+    y-derivative stack (``stack_b`` if the caller holds it) gives psi_b, v_b
+    and D1 v_b, and w_y = -v_x for any field, so five transforms carry six
+    factors.  Returns the two components' modes k = 0..K (rows).
     """
     K, grid, nh, n = fld_b.K, fld_b.grid, fld_b.K + 1, fld_b.grid.N + 1
-    ik = (1j * fld_b.xi0 * np.arange(K + 1))[:, None]
-    stack = _y_stack(_half(fld_b.psi_modes, K), grid) if stack_b is None else stack_b
+    ik = fld_b.ik()
+    stack = _y_stack(fld_b.psi_modes, grid) if stack_b is None else stack_b
     psi_b, R1, R2 = (A[:nh] + 1j * A[nh:] for A in stack)
     vb, vby, wb = R1[:, :n], R2[:, :n], -ik * psi_b
     va, wa = vb, wb
     if fld_a is not fld_b:
-        psi_a = _half(fld_a.psi_modes, K)
-        va, wa = psi_a @ grid.D1.T, -ik * psi_a
+        va, wa = fld_a.v_modes(), fld_a.w_modes()
     va, wa, vbx, vby, wbx = np.fft.irfft(np.stack([va, wa, ik * vb, vby, ik * wb]),
                                          n=product_points(K), axis=-2, norm="forward")
     prod = np.stack([va * vbx + wa * vby, va * wbx - wa * vbx])
-    a1, a2 = _mirror(np.fft.rfft(prod, axis=-2, norm="forward")[:, :nh])
+    a1, a2 = np.fft.rfft(prod, axis=-2, norm="forward")[:, :nh]
     return a1, a2
 
 
@@ -117,27 +115,24 @@ def nonlinear_residual(p, fld, force_modes, floor=1e-300):
             + (psi_x Lap psi_y - psi_y Lap psi_x) = g_x - f_y.
 
     Mode derivatives are exact and the quadratic term is dealiased on
-    ``product_points(K)``; field and force are real, so everything runs on
-    their Hermitian halves k = 0..K and the norms count each k >= 1 twice.
-    The evaluation shares no state with the mode solves of the iteration but
-    takes their ``force.modes()``.  The residual norm is divided by
-    max(||rhs||, ||Lap^2 psi||, ``floor``).
+    ``product_points(K)``.  The evaluation shares no state with the mode
+    solves of the iteration but takes their ``force.modes()``.  The residual
+    norm is divided by max(||rhs||, ||Lap^2 psi||, ``floor``).
     """
     grid, K, xi0 = fld.grid, fld.K, fld.xi0
     F = p.F(grid.nodes)
-    ik = (1j * xi0 * np.arange(K + 1))[:, None]
-    mult = np.r_[1.0, np.full(K, 2.0)]  # modes k and -k
-    pm = _half(fld.psi_modes, K)
+    ik = fld.ik()
+    pm = fld.psi_modes
     lap = pm @ grid.D2.T + ik**2 * pm
     lap2 = lap @ grid.D2.T + ik**2 * lap
     linear = lap2 - F[None, :] * (ik * lap) + 6.0 * p.A * (ik * pm)
     stack = np.stack([ik * pm, pm @ grid.D1.T, ik * lap, lap @ grid.D1.T])
     psix, psiy, lapx, lapy = np.fft.irfft(stack, n=product_points(K), axis=-2, norm="forward")
     nl = np.fft.rfft(psix * lapy - psiy * lapx, axis=-2, norm="forward")[: K + 1]
-    f_modes, g_modes = (_half(m, K) for m in force_modes)
+    f_modes, g_modes = force_modes
     rhs = ik * g_modes - f_modes @ grid.D1.T
     res = linear + nl - rhs
-    res_n, rhs_n, lap2_n = (math.sqrt(_cell_l2sq(m, xi0, grid, mult)) for m in (res, rhs, lap2))
+    res_n, rhs_n, lap2_n = (math.sqrt(_cell_l2sq(m, xi0, grid)) for m in (res, rhs, lap2))
     return res_n / max(rhs_n, lap2_n, floor)
 
 
@@ -152,7 +147,7 @@ class NonlinearChannelSolver:
         self.xi0 = float(xi0)
 
     def picard_map(self, force_modes, w_fld, stack=None):
-        """One map: solve with source f - (w . grad) w (``stack``: w's half y-stack, if held)."""
+        """One map: solve with source f - (w . grad) w (``stack``: w's y-stack, if held)."""
         f_modes, g_modes = force_modes
         if w_fld is None:
             return self.linear.solve_modes(f_modes, g_modes)
@@ -173,9 +168,8 @@ class NonlinearChannelSolver:
         marks a residual floor and stops the loop unconverged.  Leaving the
         ball raises :class:`BallEscapeError`; three consecutive
         non-contracting increments raise :class:`NonContractionError`.
-        One y-derivative stack of the Hermitian half k = 0..K per iterate gives
-        its H^2 norm, the increment (a difference of stacks) and the next
-        advection; no field keeps one.
+        One y-derivative stack per iterate gives its H^2 norm, the increment
+        (a difference of stacks) and the next advection; no field keeps one.
         """
         force_modes = force.modes()
 
@@ -185,7 +179,7 @@ class NonlinearChannelSolver:
             return fld
 
         w = project(self.picard_map(force_modes, None)) if w0 is None else project(w0)
-        sw = _y_stack(_half(w.psi_modes, self.K), self.grid)
+        sw = _y_stack(w.psi_modes, self.grid)
         iterates = []
         prev_inc = None
         failed = None  # residual of a failed check at the previous step
@@ -196,9 +190,9 @@ class NonlinearChannelSolver:
         n_done = 0
         for n_done in range(1, cfg.max_iter + 1):
             v = project(self.picard_map(force_modes, w, sw))
-            sv = _y_stack(_half(v.psi_modes, self.K), self.grid)
-            inc = _half_h_norm([a - b for a, b in zip(sv, sw)], v, 2)
-            nv = _half_h_norm(sv, v, 2)
+            sv = _y_stack(v.psi_modes, self.grid)
+            inc = _stack_h_norm([a - b for a, b in zip(sv, sw)], self.grid, self.xi0, 2)
+            nv = _stack_h_norm(sv, self.grid, self.xi0, 2)
             iterates.append((nv, inc))
             if nv > cfg.delta:
                 raise BallEscapeError(
@@ -294,8 +288,8 @@ def random_force(rng, grid, K, xi0, amplitude):
     """
     y = grid.nodes
     shapes = np.array([y**j for j in range(5)])
-    f = synthesize(_random_modes(rng, shapes, K, 0.5), xi0, K)
-    g = synthesize(_random_modes(rng, shapes, K, 0.5), xi0, K)
+    f = synthesize(_random_modes(rng, shapes, K, 0.5))
+    g = synthesize(_random_modes(rng, shapes, K, 0.5))
     raw = ForceField(xi0, K, grid, f, g)
     nrm = raw.l2_norm()
     if nrm == 0.0:

@@ -82,9 +82,9 @@ def symmetry_cancellation(p, grid, K, xi0):
     """
     env = (1.0 - grid.nodes**2) ** 2
     worst = 0.0
-    for up, down in ((env / 2.0, env / 2.0), (env / 2.0j, -env / 2.0j)):  # cos(xi0 x), sin(xi0 x)
-        psi = np.zeros((2 * K + 1, grid.N + 1), dtype=complex)
-        psi[K + 1], psi[K - 1] = up, down
+    for row in (env / 2.0, env / 2.0j):  # mode 1 of cos(xi0 x) and of sin(xi0 x)
+        psi = np.zeros((K + 1, grid.N + 1), dtype=complex)
+        psi[1] = row
         fld = ChannelField(xi0, K, grid, psi)
         i1, i2 = check_symmetry_cancellation(p, fld)
         scale = field_h_norm(fld, 2) ** 2 + 1e-300

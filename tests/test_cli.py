@@ -273,6 +273,18 @@ class TestConfigFile:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: config value N='abc'")
 
+    @pytest.mark.parametrize("line", ["help=1", "config=x"])
+    def test_parser_only_keys_are_unknown(self, tmp_path, capsys, line):
+        # help=1 used to exit 0 with "help": "1" in the payload's config block
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "s.json"
+        code = run_cli(["spectrum", "--A", "-0.2", "--T", "1", "--N", "32", "--config", str(cfg),
+                        "--output", str(out)])
+        assert code == 2
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_required_flags_from_the_file(self, tmp_path):
         # the file's A and T used to leave "the following arguments are required: --A, --T", exit 2
         cfg = tmp_path / "run.cfg"
@@ -450,6 +462,19 @@ class TestSolveNonlinear:
         data, _ = load_payload(out)
         assert data["results"]["converged"]
 
+    @pytest.mark.parametrize("argv", [
+        ["--A=-1", "--B=0.5", "--C=3.5", "--f=0.01*cos(x)*(1-y**2)", "--g=0.01*sin(x)*y"],
+        ["--profile=poiseuille", "--flux=4", "--f=0.01*sin(x)*y", "--g=0.0*y"],
+    ], ids=["odd-profile", "y-odd-f"])
+    def test_y1_symmetry_class_outside_the_class_is_config_error(self, tmp_path, monkeypatch, argv):
+        # both exited 0: converged false at residual 1.5e-2, and residual 1.0 at H2 1.1e-12
+        def measured_ball(*args):
+            raise AssertionError("ball measured before the config check")
+
+        monkeypatch.setattr(verify, "measured_ball", measured_ball)
+        out = tmp_path / "nl.json"
+        assert run_cli(["solve-nonlinear", *argv, "--symmetry=Y1", f"--output={out}"]) == 2
+        assert not out.exists()
 
     def test_pressure_includes_quadratic_term(self, tmp_path):
         # the recovered gradient is curl-free only with the self-advection

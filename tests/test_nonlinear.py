@@ -7,7 +7,6 @@ from numpy.polynomial import Polynomial
 from cpflow.channel import (
     ChannelField,
     ForceField,
-    _cell_l2sq,
     _random_modes,
     analyze,
     field_h_norm,
@@ -32,6 +31,7 @@ from cpflow.nonlinear import (
 from cpflow.os_solver import solve_os_zero_mode
 from cpflow.profiles import Profile, poiseuille_for_flux
 from cpflow.spectral import GridFunction, build_grid
+from full_layout import full_layout, full_sum
 from manufactured import ModePoly, nonlinear_force
 
 POISEUILLE = poiseuille_for_flux(4.0)
@@ -202,7 +202,7 @@ class TestEmbeddingConstant:
         for _ in range(10):
             u = random_field(rng, grid32, 4, 1.0, rng.uniform(0.5, 2.0))
             w = random_field(rng, grid32, 4, 1.0, rng.uniform(0.5, 2.0))
-            a1, a2 = advection_modes(u, w)
+            a1, a2 = (full_layout(a) for a in advection_modes(u, w))
             adv = math.sqrt(
                 period * float(((np.abs(a1) ** 2 + np.abs(a2) ** 2) @ grid32.quad_weights).sum())
             )
@@ -274,11 +274,10 @@ class TestDealiasing:
         a1_o = v * v.dx() + w * v.dy()
         a2_o = v * w.dx() + w * w.dy()
         env = ENV(grid32.nodes)
-        modes = np.zeros((2 * K + 1, grid32.N + 1), dtype=complex)
-        modes[K + 1] = env / 2.0j
-        modes[K - 1] = -env / 2.0j
+        modes = np.zeros((K + 1, grid32.N + 1), dtype=complex)
+        modes[1] = env / 2.0j
         fld = ChannelField(xi0, K, grid32, modes)
-        a1, a2 = advection_modes(fld, fld)
+        a1, a2 = (full_layout(a) for a in advection_modes(fld, fld))
         for k in range(-K, K + 1):
             e1 = a1_o.modes.get(k, Polynomial([0.0]))(grid32.nodes)
             e2 = a2_o.modes.get(k, Polynomial([0.0]))(grid32.nodes)
@@ -287,25 +286,27 @@ class TestDealiasing:
 
 
 def six_field_advection(fld_a, fld_b):
-    """Reference advection: six transforms, w_y synthesized from D1 w."""
+    """Reference advection: six syntheses of the full layout k = -K..K, w_y from D1 w."""
     K, grid = fld_a.K, fld_a.grid
     ikx = (1j * fld_a.xi0 * np.arange(-K, K + 1))[:, None]
-    vb_m, wb_m = fld_b.v_modes(), fld_b.w_modes()
-    va_m, wa_m = (vb_m, wb_m) if fld_a is fld_b else (fld_a.v_modes(), fld_a.w_modes())
+    vb_m, wb_m = full_layout(fld_b.v_modes()), full_layout(fld_b.w_modes())
+    va_m, wa_m = vb_m, wb_m
+    if fld_a is not fld_b:
+        va_m, wa_m = full_layout(fld_a.v_modes()), full_layout(fld_a.w_modes())
     stack = np.stack([va_m, wa_m, ikx * vb_m, vb_m @ grid.D1.T, ikx * wb_m, wb_m @ grid.D1.T])
-    va, wa, vbx, vby, wbx, wby = synthesize(stack, fld_a.xi0, K)
+    va, wa, vbx, vby, wbx, wby = full_sum(stack)
     (a1, a2), _ = analyze(np.stack([va * vbx + wa * vby, va * wbx + wa * wby]), K)
     return a1, a2
 
 
 def eager_solve_info(solver, f_modes, g_modes, fld):
     """Reference solve_info of ``solve_modes``, evaluated from the solved modes."""
-    K, grid, N, p = solver.K, solver.grid, solver.grid.N, solver.p
-    h0 = -(grid.D1 @ f_modes[K].real)
+    grid, N, p = solver.grid, solver.grid.N, solver.p
+    h0 = -(grid.D1 @ f_modes[0].real)
     sol0 = solve_os_zero_mode(GridFunction(grid, h0), grid)
     xi = solver._xi[:, None]
-    h = 1j * xi * g_modes[K + 1 :] - f_modes[K + 1 :] @ grid.D1.T
-    phi = fld.psi_modes[K + 1 :]
+    h = 1j * xi * g_modes[1:] - f_modes[1:] @ grid.D1.T
+    phi = fld.psi_modes[1:]
     d2 = phi @ grid.D2.T
     res = (phi @ grid.D4.T - 2.0 * xi**2 * d2 + xi**4 * phi - h
            - 1j * xi * (p.F(grid.nodes) * (d2 - xi**2 * phi) - 6.0 * p.A * phi))
@@ -416,17 +417,19 @@ def full_layout_residual(p, fld, force_modes, floor=1e-300):
     grid, K, xi0 = fld.grid, fld.K, fld.xi0
     F = p.F(grid.nodes)
     ikx = (1j * xi0 * np.arange(-K, K + 1))[:, None]
-    pm = fld.psi_modes
+    pm = full_layout(fld.psi_modes)
     lap = pm @ grid.D2.T + ikx**2 * pm
     lap2 = lap @ grid.D2.T + ikx**2 * lap
     linear = lap2 - F[None, :] * (ikx * lap) + 6.0 * p.A * (ikx * pm)
     stack = np.stack([ikx * pm, pm @ grid.D1.T, ikx * lap, lap @ grid.D1.T])
-    psix, psiy, lapx, lapy = synthesize(stack, xi0, K)
-    nl_modes, _ = analyze(psix * lapy - psiy * lapx, K)
-    f_modes, g_modes = force_modes
+    psix, psiy, lapx, lapy = full_sum(stack)
+    nl_modes = full_layout(analyze(psix * lapy - psiy * lapx, K)[0])
+    f_modes, g_modes = (full_layout(m) for m in force_modes)
     rhs = ikx * g_modes - f_modes @ grid.D1.T
     res = linear + nl_modes - rhs
-    res_n, rhs_n, lap2_n = (math.sqrt(_cell_l2sq(m, xi0, grid)) for m in (res, rhs, lap2))
+    period = 2.0 * math.pi / xi0
+    res_n, rhs_n, lap2_n = (math.sqrt(period * float((np.abs(m) ** 2 @ grid.quad_weights).sum()))
+                            for m in (res, rhs, lap2))
     return res_n / max(rhs_n, lap2_n, floor)
 
 
@@ -458,12 +461,10 @@ class TestHalfSpectrumLoop:
 
 def loop_modes(rng, shapes, K, decay):
     """Reference draw: one pair of rng calls per mode k = 0..K, as the draws were first written."""
-    modes = np.zeros((2 * K + 1, shapes.shape[1]), dtype=complex)
+    modes = np.zeros((K + 1, shapes.shape[1]), dtype=complex)
     for k in range(K + 1):
         c = rng.normal(size=len(shapes)) + (1j * rng.normal(size=len(shapes)) if k else 0.0)
-        vals = (c * decay**k) @ shapes
-        modes[K + k] = vals
-        modes[K - k] = np.conj(vals)
+        modes[k] = (c * decay**k) @ shapes
     return modes
 
 
@@ -488,7 +489,7 @@ class TestBallDraws:
         force = random_force(rng, grid, K, xi0, 2.0)
         fld = random_field(rng, grid, K, xi0, 1.5)
         shapes = np.array([y**j for j in range(5)])
-        f, g = (synthesize(loop_modes(ref_rng, shapes, K, 0.5), xi0, K) for _ in range(2))
+        f, g = (synthesize(loop_modes(ref_rng, shapes, K, 0.5)) for _ in range(2))
         s = 2.0 / ForceField(xi0, K, grid, f, g).l2_norm()
         for got, want in ((force.f, f * s), (force.g, g * s)):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
