@@ -233,7 +233,9 @@ class ChannelField:
 
 def _pair_weights(K):
     """1, 2, 2, ..., 2 for the rows k = 0..K: row k >= 1 stands for modes k and -k."""
-    return np.r_[1.0, np.full(K, 2.0)]
+    w = np.full(K + 1, 2.0)
+    w[0] = 1.0
+    return w
 
 
 def _cell_l2sq(modes, xi0, grid):
@@ -290,8 +292,8 @@ class LinearizedChannelSolver:
     """Stacked mode inverses for repeated solves at one profile.
 
     Modes k = 1..K are inverted once, each behind its rcond gate, and
-    solved by one batched product; k = 0 is solved per call.  Residuals
-    come from the operator's parts, not from the inverses.
+    solved by one batched product; k = 0 is solved per call with the grid's
+    one inverse.  Residuals come from the operator's parts, not the inverses.
     """
 
     def __init__(self, p, grid, K, xi0):
@@ -307,6 +309,7 @@ class LinearizedChannelSolver:
         self.K = K
         self.xi0 = float(xi0)
         self._xi = self.xi0 * np.arange(1, K + 1)
+        grid.clamped_d4  # the k = 0 factors, made before the stack: after it they fragment the heap
         self._inv = np.empty((K, grid.N + 1, grid.N + 1), dtype=complex)
         self._rcond = []
         for j, xi in enumerate(self._xi):

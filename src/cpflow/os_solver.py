@@ -21,17 +21,18 @@ the first interior nodes, keeping the system square.  The row-equilibrated
 system As is inverted explicitly, which gives its reciprocal condition
 number exactly, 1 / (||As||_1 ||As^-1||_1); a near-singular system raises
 :class:`~cpflow.errors.NearSingularSystemError` (at inadmissible profiles
-near neutral parameters this signals genuine loss of injectivity).  Each
-solve refines twice on the equilibrated system, x <- x + As^-1 (b - As x).
+near neutral parameters this signals genuine loss of injectivity).  The
+grid-only xi = 0 system is inverted once per grid (``SpectralGrid.clamped_d4``).
+Each solve refines twice on the equilibrated system, x <- x + As^-1 (b - As x).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InadmissibleProfileError, NearSingularSystemError
+from .errors import DomainError, InadmissibleProfileError
 from .profiles import check_admissibility
-from .spectral import GridFunction, h_minus1_norm
+from .spectral import GridFunction, _factor_clamped, h_minus1_norm
 
 __all__ = [
     "ModeSolution",
@@ -43,8 +44,6 @@ __all__ = [
     "sigma_diagnostics",
 ]
 
-RCOND_FLOOR = 1e-14
-
 
 def os_operator_matrix(p, xi, grid):
     """Dense collocation matrix of the mode operator (no boundary rows); grid.D4 itself at xi = 0."""
@@ -54,19 +53,6 @@ def os_operator_matrix(p, xi, grid):
     F = p.F(grid.nodes)
     return (grid.D4 - 2.0 * xi**2 * grid.D2 + xi**4 * I
             - 1j * xi * (F[:, None] * (grid.D2 - xi**2 * I) - 6.0 * p.A * I))
-
-
-def bordered_system(L, grid):
-    """Copy of L with rows (0, 1, N-1, N) replaced by the clamped boundary conditions."""
-    N = grid.N
-    A = np.array(L)
-    A[0, :] = 0.0
-    A[0, 0] = 1.0  # phi(+1) = 0
-    A[1, :] = grid.D1[0, :]  # phi'(+1) = 0
-    A[N - 1, :] = grid.D1[N, :]  # phi'(-1) = 0
-    A[N, :] = 0.0
-    A[N, N] = 1.0  # phi(-1) = 0
-    return A
 
 
 @dataclass(frozen=True)
@@ -100,32 +86,17 @@ class SigmaDiagnostics:
 class OSModeOperator:
     """Inverted clamped mode operator, reusable across right-hand sides.
 
-    ``xi = 0`` builds the plain fourth-derivative reduction, which takes
-    no profile (``p`` may be None).  It is real, so it is inverted and, for
-    a real source, solved in real arithmetic.
+    ``xi = 0`` is the real fourth-derivative reduction, which takes no
+    profile (``p`` may be None): it reads the grid's one inverse
+    (``SpectralGrid.clamped_d4``) and solves a real source in real arithmetic.
     """
 
     def __init__(self, p, xi, grid):
         self.xi = float(xi)
         self.grid = grid
         self._L = os_operator_matrix(p, xi, grid)
-        A = bordered_system(self._L, grid)
-        scale = np.abs(A).max(axis=1)
-        scale[scale == 0.0] = 1.0
-        self._row_scale = 1.0 / scale
-        self._A = A * self._row_scale[:, None]  # the row-equilibrated system As
-        try:
-            self._inv = np.linalg.inv(self._A)
-            self.rcond = 1.0 / (np.abs(self._A).sum(axis=0).max()
-                                * np.abs(self._inv).sum(axis=0).max())
-        except np.linalg.LinAlgError:  # an exactly zero pivot
-            self.rcond = 0.0
-        if not np.isfinite(self.rcond) or self.rcond < RCOND_FLOOR:
-            raise NearSingularSystemError(
-                f"mode system at xi={xi} is numerically singular "
-                f"(rcond={self.rcond:.3e})",
-                rcond=float(self.rcond),
-            )
+        self._row_scale, self._A, self._inv, self.rcond = (
+            grid.clamped_d4 if xi == 0.0 else _factor_clamped(self._L, grid, xi))
 
     def inverse(self):
         """Dense inverse of the bordered system, As^-1 diag(row_scale)."""

@@ -9,10 +9,11 @@ up to N of a few hundred.  Quadrature is Clenshaw-Curtis on the same nodes.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NearSingularSystemError
 
 __all__ = [
     "SpectralGrid",
@@ -24,6 +25,8 @@ __all__ = [
     "h_minus1_norm",
     "poincare_ratio",
 ]
+
+RCOND_FLOOR = 1e-14
 
 
 def chebyshev_nodes(N):
@@ -55,6 +58,39 @@ def chebyshev_diff(N):
     np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -D.sum(axis=1))
     return D
+
+
+def bordered_system(L, grid):
+    """Copy of L with rows (0, 1, N-1, N) replaced by the clamped boundary conditions."""
+    N = grid.N
+    A = np.array(L)
+    A[0, :] = 0.0
+    A[0, 0] = 1.0  # phi(+1) = 0
+    A[1, :] = grid.D1[0, :]  # phi'(+1) = 0
+    A[N - 1, :] = grid.D1[N, :]  # phi'(-1) = 0
+    A[N, :] = 0.0
+    A[N, N] = 1.0  # phi(-1) = 0
+    return A
+
+
+def _factor_clamped(L, grid, xi):
+    """Read-only (row_scale, As, As^-1, rcond) of bordered L, As = diag(row_scale) A; gated on RCOND_FLOOR."""
+    A = bordered_system(L, grid)
+    scale = np.abs(A).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    row_scale = 1.0 / scale
+    As = A * row_scale[:, None]
+    try:
+        inv = np.linalg.inv(As)
+        rcond = 1.0 / (np.abs(As).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        rcond = 0.0
+    if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
+        raise NearSingularSystemError(f"mode system at xi={xi} is numerically singular "
+                                      f"(rcond={rcond:.3e})", rcond=float(rcond))
+    for a in (row_scale, As, inv):
+        a.flags.writeable = False
+    return row_scale, As, inv, rcond
 
 
 def clenshaw_curtis_weights(N):
@@ -100,6 +136,11 @@ class SpectralGrid:
 
     def l2_norm(self, values):
         return float(np.sqrt(self.quad(np.abs(values) ** 2).real))
+
+    @cached_property
+    def clamped_d4(self):
+        """``_factor_clamped`` of the xi = 0 system phi'''' = h, made on first read, per grid."""
+        return _factor_clamped(self.D4, self, 0.0)
 
 
 def build_grid(N):

@@ -39,9 +39,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BracketError, DomainError, NeutralToleranceError, ResolutionError
-from .os_solver import bordered_system, os_operator_matrix
+from .os_solver import os_operator_matrix
 from .profiles import Profile, check_admissibility
-from .spectral import build_grid, chebyshev_nodes, clenshaw_curtis_weights
+from .spectral import bordered_system, build_grid, chebyshev_nodes, clenshaw_curtis_weights
 
 __all__ = [
     "os_spectrum",

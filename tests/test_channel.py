@@ -175,24 +175,33 @@ class TestBatchedSolve:
         assert all(r >= 1e-14 for r in rcond)
         assert rcond[1] == OSModeOperator(POISEUILLE, 1.0, grid48).rcond
 
-    def test_factorization_counts(self, grid32, monkeypatch):
-        # K factorizations per build, one (the mean mode) per solve
-        built = []
+    def test_factorization_counts(self, monkeypatch):
+        # K operator constructions per build, one (the mean mode) per solve;
+        # K + 1 inversions per build on a fresh grid (its k = 0 inverse), none per solve
+        grid = build_grid(32)
+        built, inverted = [], []
 
         class Counting(OSModeOperator):
             def __init__(self, *args, **kwargs):
                 built.append(args[1])
                 super().__init__(*args, **kwargs)
 
+        def counting_inv(a, inv=np.linalg.inv):
+            inverted.append(a.shape)
+            return inv(a)
+
         monkeypatch.setattr(channel, "OSModeOperator", Counting)
         monkeypatch.setattr(os_solver, "OSModeOperator", Counting)
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
         K = 5
-        solver = LinearizedChannelSolver(POISEUILLE, grid32, K, 1.0)
+        solver = LinearizedChannelSolver(POISEUILLE, grid, K, 1.0)
         assert built == [float(k) for k in range(1, K + 1)]
-        force = ForceField.zero(1.0, K, grid32)
+        assert len(inverted) == K + 1
+        force = ForceField.zero(1.0, K, grid)
         for n in (1, 2):
             solver.solve(force)
             assert len(built) == K + n and built[-1] == 0.0
+            assert len(inverted) == K + 1
 
 
 def conjugate_symmetry_error(fld):

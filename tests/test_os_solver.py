@@ -8,7 +8,6 @@ from cpflow.errors import DomainError, InadmissibleProfileError, NearSingularSys
 from cpflow.os_solver import (
     OSModeOperator,
     apriori_ratio,
-    bordered_system,
     os_operator_matrix,
     sigma_diagnostics,
     sigma_values,
@@ -16,7 +15,7 @@ from cpflow.os_solver import (
     solve_os_zero_mode,
 )
 from cpflow.profiles import Profile, poiseuille_for_flux
-from cpflow.spectral import GridFunction, build_grid
+from cpflow.spectral import GridFunction, bordered_system, build_grid
 
 POISEUILLE = poiseuille_for_flux(4.0)
 
@@ -121,6 +120,47 @@ class TestZeroMode:
         # absolute collocation residual; its float64 floor grows with N
         sol = solve_os_zero_mode(smooth_source(grid32, rng), grid32)
         assert sol.residual_norm <= 1e-10
+
+    @pytest.mark.parametrize("N", [32, 96])
+    def test_grid_inverse_matches_written_reference(self, N, rng):
+        # np.linalg.inv of the bordered, row-equilibrated D4 and two
+        # refinement steps, bit for bit, before and after the grid holds it
+        grid = build_grid(N)
+        h = smooth_source(grid, rng)
+        first = solve_os_zero_mode(h, grid).phi.values
+        again = solve_os_zero_mode(h, grid).phi.values
+        A = bordered_system(grid.D4, grid)
+        row_scale = 1.0 / np.abs(A).max(axis=1)
+        As = A * row_scale[:, None]
+        inv = np.linalg.inv(As)
+        b = h.values * row_scale
+        b[[0, 1, N - 1, N]] = 0.0
+        want = inv @ b
+        for _ in range(2):
+            want = want + inv @ (b - As @ want)
+        assert np.array_equal(first, want) and np.array_equal(again, want)
+
+    def test_grid_inverse_read_only(self, grid32):
+        for a in grid32.clamped_d4[:3]:  # row scale, As, As^-1
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_each_grid_inverts_once(self, monkeypatch, rng):
+        grids = [build_grid(32), build_grid(32)]  # same N, separate instances
+        inverted = []
+
+        def counting_inv(a, inv=np.linalg.inv):
+            inverted.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        h = smooth_source(grids[0], rng).values
+        for g in grids:
+            for _ in range(3):
+                solve_os_zero_mode(GridFunction(g, h), g)
+                OSModeOperator(None, 0.0, g)
+        assert inverted == [(33, 33), (33, 33)]
+        assert grids[0].clamped_d4[2] is not grids[1].clamped_d4[2]
 
     @pytest.mark.parametrize("N", [32, 96])
     def test_real_system_matches_complex_factorization(self, N, rng):
