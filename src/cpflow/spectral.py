@@ -80,6 +80,7 @@ def _factor_clamped(L, grid, xi):
     scale[scale == 0.0] = 1.0
     row_scale = 1.0 / scale
     As = A * row_scale[:, None]
+    del A  # freed before the inverse is made, so held factors pack without a hole between them
     try:
         inv = np.linalg.inv(As)
         rcond = 1.0 / (np.abs(As).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
