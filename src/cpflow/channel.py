@@ -14,7 +14,9 @@ solves the fourth-derivative reduction; its additive constant is fixed by
 psi(x, -1) = 0, which together with psi(x, +1) = 0 enforces zero
 perturbation flux through every section.  The mean streamwise pressure
 gradient reappears as the constant f0 + phi0''' and is checked, not
-assumed.
+assumed.  The windowed norms X^m and energy Gamma(L) integrate an x-density,
+the y-integral of squared fields, whose modes |m| <= 2K come exactly from
+its values on the product grid.
 """
 
 import math
@@ -79,11 +81,6 @@ def synthesize(modes):
     inverse real FFT of the rows; the imaginary part of row 0 is ignored.
     """
     return np.fft.irfft(modes, n=n_x_points(modes.shape[-2] - 1), axis=-2, norm="forward")
-
-
-def _mirror(half):
-    """Modes k = -K..K of the real field whose modes k = 0..K are ``half`` (axis -2)."""
-    return np.concatenate([np.conj(half[..., :0:-1, :]), half], axis=-2)
 
 
 def analyze(values, K):
@@ -414,30 +411,30 @@ def recover_pressure_gradient(p, fld, force, nonlinear_modes=None):
 # ---------------------------------------------------------------------------
 
 
-def _gram(sets, weights):
-    """Gram matrix sum_s S_s diag(weights[s]) S_s^H over all mode pairs k, l = -K..K of
-    real fields with modes k = 0..K in the rows of the sets S_s (columns y),
-    formed by one product over the stacked sets; ``weights[s]`` includes the
-    quadrature weights."""
-    S = _mirror(np.concatenate(sets, axis=1))
-    return (S * np.concatenate(weights)) @ np.conj(S).T
+def _density(sets, weights):
+    """Modes m = 0..2K of the x-density sum_s int weights[s](y) f_s(x, y)^2 dy, with f_s the
+    real field whose modes k = 0..K are the rows of ``sets[s]`` (columns y); ``weights[s]``
+    includes the quadrature weights.  The square of a K-band field has modes |m| <= 2K,
+    so its values at the ``product_points(K)`` >= 4K + 4 points give them exactly."""
+    K = len(sets[0]) - 1
+    f = np.fft.irfft(np.concatenate(sets, axis=1), n=product_points(K), axis=0, norm="forward")
+    return np.fft.rfft(f**2 @ np.concatenate(weights), norm="forward")[: 2 * K + 1]
 
 
-def _windows(grams, xi0, K, offsets, width):
-    """int_a^{a+width} dx of the x-quadratic form of each Gram matrix, for every offset a.
+def _windows(densities, xi0, offsets, width):
+    """int_a^{a+width} dx of each x-density (rows of modes m = 0..2K), for every offset a.
 
-    Returns shape (len(grams), len(offsets)).  Uses the exact mode-pair
-    formula: the x-integral of e^{i(k-l) xi0 x} over (a, a+width) is
-    e^{i(k-l) xi0 a} * Lambda(k-l), with Lambda(0) = width, so the windows
-    wrap around the periodic cell.  The phases P and the factors Lambda are
-    formed once per call and shared by all Gram matrices.
+    Returns shape (len(densities), len(offsets)).  The x-integral of
+    e^{i m xi0 x} over (a, a+width) is e^{i m xi0 a} * Lambda(m), with
+    Lambda(0) = width, so the windows wrap around the periodic cell; the
+    density is real, so modes m and -m add twice the real part of mode m.
     """
-    kk = np.arange(-K, K + 1)
-    arg = xi0 * (kk[:, None] - kk[None, :])
-    zero = arg == 0.0
-    lam = np.where(zero, width, (np.exp(1j * arg * width) - 1.0) / (1j * np.where(zero, 1.0, arg)))
-    P = np.exp(1j * xi0 * np.outer(offsets, kk))
-    return np.real(np.sum((P @ (np.asarray(grams) * lam)) * np.conj(P), axis=-1))
+    d = np.asarray(densities)
+    m = np.arange(d.shape[-1])
+    arg = xi0 * m
+    lam = np.where(m == 0, width, (np.exp(1j * arg * width) - 1.0) / (1j * np.where(m == 0, 1.0, arg)))
+    P = np.exp(1j * np.outer(offsets, arg))
+    return np.real((d * (_pair_weights(len(m) - 1) * lam)) @ P.T)
 
 
 def field_norms(fld):
@@ -446,11 +443,12 @@ def field_norms(fld):
     H^m is ``field_h_norm`` bit for bit.  X^m is the windowed norm: the sup
     over offsets of the H^m norm on unit-width slabs, with the offsets on
     the tensor-grid spacing (so it approaches the continuous sup from
-    below) and the windows wrapping around the periodic cell.  The Gram
-    matrix of order m adds the sets d_x^a d_y^b v, d_x^a d_y^b w with
-    a + b = m to that of order m - 1, and one window pass serves all three.
+    below) and the windows wrapping around the periodic cell.  The x-density
+    of order m adds that of the sets d_x^a d_y^b v, d_x^a d_y^b w with
+    a + b = m to that of order m - 1; each comes from its modes on the
+    product grid (``_density``), and one window pass serves all three.
     """
-    K, grid, nk, n = fld.K, fld.grid, fld.K + 1, fld.grid.N + 1
+    grid, nk, n = fld.grid, fld.K + 1, fld.grid.N + 1
     stack = _y_stack(fld.psi_modes, grid)
     h = {m: _stack_h_norm(stack, grid, fld.xi0, m) for m in range(3)}
     ikx = fld.ik()
@@ -460,8 +458,8 @@ def field_norms(fld):
     comps = (v, [-ikx * d for d in psi])  # w = -i kappa psi
     sets = [[dy[b] if b == total else dy[b] * ikx ** (total - b)  # d_x^a d_y^b, a + b = total
              for dy in comps for b in range(total + 1)] for total in range(3)]
-    grams = np.cumsum([_gram(s, [grid.quad_weights] * len(s)) for s in sets], axis=0)
-    vals = _windows(grams, fld.xi0, K, fld.x(), 1.0)
+    dens = np.cumsum([_density(s, [grid.quad_weights] * len(s)) for s in sets], axis=0)
+    vals = _windows(dens, fld.xi0, fld.x(), 1.0)
     return h, {m: float(np.sqrt(vals[m].max())) for m in range(3)}
 
 
@@ -481,12 +479,14 @@ def gamma_energy(p, fld, L_list):
     nondecreasing in L under admissibility; windows saturate at the cell.
     The report also carries the control quantity
     int (sigma_y^2 + sigma_x^2 + psi_xx^2 + 2 psi_xy^2 + psi_yy^2) whose
-    ratio to Gamma stays bounded.
+    ratio to Gamma stays bounded.  Both integrands are summed over y into one
+    x-density each, whose modes come from the product grid (``_density``)
+    once per call, whatever ``L_list``; each L then windows them exactly.
     """
     rep = check_admissibility(p)
     if not rep.satisfies_abc:
         raise InadmissibleProfileError("windowed energy needs an admissible profile")
-    grid, K, xi0 = fld.grid, fld.K, fld.xi0
+    grid, xi0 = fld.grid, fld.xi0
     F = p.F(grid.nodes)
     dpsi = fld.psi_modes @ grid.D1.T
     sigma = sigma_values(fld.psi_modes, dpsi, p, grid)
@@ -495,15 +495,15 @@ def gamma_energy(p, fld, L_list):
     sxx, sxy = ikx**2 * sigma, ikx * sy
     pxx, pxy, pyy = ikx * (ikx * fld.psi_modes), ikx * dpsi, fld.psi_modes @ grid.D2.T
     w = grid.quad_weights
-    grams = [  # Gamma and the control, windowed per L below
-        _gram([sx, sy, sxx, sxy, syy], [-6.0 * p.A * w, -12.0 * p.A * w, F * w, 2.0 * F * w, F * w]),
-        _gram([sy, sx, pxx, pyy, pxy], [w, w, w, w, 2.0 * w]),
+    dens = [  # Gamma and the control, windowed per L below
+        _density([sx, sy, sxx, sxy, syy], [-6.0 * p.A * w, -12.0 * p.A * w, F * w, 2.0 * F * w, F * w]),
+        _density([sy, sx, pxx, pyy, pxy], [w, w, w, w, 2.0 * w]),
     ]
     period = 2.0 * math.pi / xi0
     gamma, control = {}, {}
     for L in L_list:  # over Q_L, saturating at one cell
         half = min(L, 0.5 * period)
-        (gamma[float(L)],), (control[float(L)],) = _windows(grams, xi0, K, [-half], 2.0 * half).tolist()
+        (gamma[float(L)],), (control[float(L)],) = _windows(dens, xi0, [-half], 2.0 * half).tolist()
     g = [gamma[L] for L in sorted(gamma)]
     scale = max(map(abs, g)) or 1.0
     monotone = all(b >= a - 1e-10 * scale for a, b in zip(g, g[1:]))

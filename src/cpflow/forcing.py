@@ -27,44 +27,34 @@ _BINOPS = {
 _UNARY = {ast.UAdd: lambda v: v, ast.USub: np.negative}
 
 
-def _check(node):
+def _compile(node):
+    """Validate ``node`` against the grammar and return its evaluator env -> value."""
     if isinstance(node, ast.Expression):
-        _check(node.body)
-    elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        _check(node.left)
-        _check(node.right)
-    elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-        _check(node.operand)
-    elif isinstance(node, ast.Call):
+        return _compile(node.body)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        op, left, right = _BINOPS[type(node.op)], _compile(node.left), _compile(node.right)
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        op, operand = _UNARY[type(node.op)], _compile(node.operand)
+        return lambda env: op(operand(env))
+    if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
             raise ConfigError(f"unknown function in forcing expression: {ast.dump(node.func)}")
         if len(node.args) != 1 or node.keywords:
             raise ConfigError("forcing functions take exactly one argument")
-        _check(node.args[0])
-    elif isinstance(node, ast.Name):
-        if node.id not in ("x", "y") and node.id not in _CONSTS:
-            raise ConfigError(f"unknown name in forcing expression: {node.id!r}")
-    elif isinstance(node, ast.Constant):
+        fn, arg = _FUNCS[node.func.id], _compile(node.args[0])
+        return lambda env: fn(arg(env))
+    if isinstance(node, ast.Name):
+        if node.id in ("x", "y"):
+            return lambda env: env[node.id]
+        if node.id in _CONSTS:
+            return lambda env: _CONSTS[node.id]
+        raise ConfigError(f"unknown name in forcing expression: {node.id!r}")
+    if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ConfigError(f"non-numeric literal: {node.value!r}")
-    else:
-        raise ConfigError(f"unsupported syntax in forcing expression: {type(node).__name__}")
-
-
-def _evaluate(node, env):
-    if isinstance(node, ast.Expression):
-        return _evaluate(node.body, env)
-    if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
-    if isinstance(node, ast.UnaryOp):
-        return _UNARY[type(node.op)](_evaluate(node.operand, env))
-    if isinstance(node, ast.Call):
-        return _FUNCS[node.func.id](_evaluate(node.args[0], env))
-    if isinstance(node, ast.Name):
-        return env[node.id] if node.id in env else _CONSTS[node.id]
-    if isinstance(node, ast.Constant):
-        return node.value
-    raise ConfigError("unreachable expression node")
+        return lambda env: node.value
+    raise ConfigError(f"unsupported syntax in forcing expression: {type(node).__name__}")
 
 
 def compile_expression(text):
@@ -73,13 +63,13 @@ def compile_expression(text):
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse forcing expression {text!r}: {exc}") from exc
-    _check(tree)
+    evaluate = _compile(tree)
 
     def fn(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         with np.errstate(all="ignore"):
-            out = _evaluate(tree, {"x": x, "y": y})
+            out = evaluate({"x": x, "y": y})
         if not np.all(np.isfinite(out)):
             raise ConfigError(f"forcing expression {text!r} is not finite at every sample")
         return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast_shapes(x.shape, y.shape)).copy()

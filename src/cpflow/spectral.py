@@ -8,7 +8,7 @@ repeated multiplication with D1, which keeps roundoff in D4 under control
 up to N of a few hundred.  Quadrature is Clenshaw-Curtis on the same nodes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -129,7 +129,6 @@ class SpectralGrid:
     D3: np.ndarray
     D4: np.ndarray
     quad_weights: np.ndarray
-    _dirichlet_inv: np.ndarray = field(default=None, repr=False, compare=False)
 
     def quad(self, values):
         """Integral of ``values`` over [-1, 1]."""
@@ -143,6 +142,14 @@ class SpectralGrid:
         """``_factor_clamped`` of the xi = 0 system phi'''' = h, made on first read, per grid."""
         return _factor_clamped(self.D4, self, 0.0)
 
+    @cached_property
+    def _dirichlet_inv(self):
+        """Inverse of the Dirichlet Laplacian that ``h_minus1_norm`` applies, made on first read, per grid."""
+        A = -self.D2
+        A[[0, self.N], :] = 0.0
+        A[0, 0] = A[self.N, self.N] = 1.0
+        return np.linalg.inv(A)
+
 
 def build_grid(N):
     """Build the collocation grid of polynomial degree N (N >= 8)."""
@@ -154,15 +161,7 @@ def build_grid(N):
     D3 = D1 @ D2
     D4 = D1 @ D3
     w = clenshaw_curtis_weights(N)
-    grid = SpectralGrid(N=N, nodes=nodes, D1=D1, D2=D2, D3=D3, D4=D4, quad_weights=w)
-    # Dirichlet Laplacian inverse reused by every H^-1 evaluation
-    A = -D2.copy()
-    A[0, :] = 0.0
-    A[0, 0] = 1.0
-    A[N, :] = 0.0
-    A[N, N] = 1.0
-    object.__setattr__(grid, "_dirichlet_inv", np.linalg.inv(A))
-    return grid
+    return SpectralGrid(N=N, nodes=nodes, D1=D1, D2=D2, D3=D3, D4=D4, quad_weights=w)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from cpflow.cli import main
 from cpflow.nonlinear import NonlinearChannelSolver, PicardConfig, random_force
 from cpflow.os_solver import OSModeOperator
 from cpflow.profiles import poiseuille_for_flux
-from cpflow.spectral import build_grid
+from cpflow.spectral import GridFunction, build_grid, h_minus1_norm
 
 POISEUILLE = poiseuille_for_flux(4.0)
 N, K, XI0 = 96, 32, 1.0  # the picard benchmark workload's solver
@@ -48,6 +48,21 @@ def count_calls(monkeypatch):
 @pytest.fixture(scope="module")
 def picard():
     return NonlinearChannelSolver(POISEUILLE, build_grid(N), K, XI0)
+
+
+class TestGrid:
+    def test_build_inverts_nothing(self, monkeypatch):
+        calls = count_calls(monkeypatch)
+        build_grid(N)
+        assert calls["inv"] == 0
+
+    def test_h_minus1_inverts_once_per_grid(self, monkeypatch):
+        grid = build_grid(N)
+        h = GridFunction.from_callable(grid, lambda y: np.sin(np.pi * y))
+        calls = count_calls(monkeypatch)
+        h_minus1_norm(h)
+        h_minus1_norm(h)
+        assert calls["inv"] == 1
 
 
 class TestLinearSolver:
@@ -92,14 +107,14 @@ class TestPicardSolve:
 
 
 class TestCliCommands:
-    # inversions: the grid's Dirichlet inverse, its k = 0 inverse and the
-    # K = 8 mode inverses of the one solver; constructions: K, plus one per
-    # solve_modes (the measured kappa0 and the maps in solve-nonlinear)
+    # inversions: the grid's k = 0 inverse and the K = 8 mode inverses of
+    # the one solver; constructions: K, plus one per solve_modes (the
+    # measured kappa0 and the maps in solve-nonlinear)
     @pytest.mark.parametrize("argv, want", [
         (["solve-linear", "--profile", "poiseuille", "--flux", "4", "--N", "48", "--K", "8",
-          "--f", "sin(x)*(1-y**2)", "--g", "cos(x)*y"], (10, 9)),
+          "--f", "sin(x)*(1-y**2)", "--g", "cos(x)*y"], (9, 9)),
         (["solve-nonlinear", "--profile", "poiseuille", "--flux", "4", "--f", "0.01*sin(x)",
-          "--g", "0.0*y"], (10, 19)),
+          "--g", "0.0*y"], (9, 19)),
     ], ids=["solve-linear", "solve-nonlinear"])
     def test_readme_settings(self, tmp_path, monkeypatch, argv, want):
         calls = count_calls(monkeypatch)
