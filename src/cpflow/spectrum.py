@@ -32,6 +32,7 @@ left one w, (L - lambda B)^H w = 0, is found by two steps of inverse
 iteration from B x.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,6 +56,7 @@ RESOLVE_RTOL = 1e-6
 MIN_RESOLVED = 10
 MAX_NEWTON = 12
 SYMMETRY_RTOL = 1e-13
+N_COARSE = 64  # neutral_search brackets and converges here before polishing at N
 
 
 def _parity_bases(n):
@@ -156,6 +158,11 @@ def _left_null_vector(R, v):
     return v
 
 
+def _check_parameters(A, T):
+    if not (math.isfinite(A) and math.isfinite(T) and T > 0.0):
+        raise DomainError(f"need finite A and finite wavenumber T > 0, got A={A}, T={T}")
+
+
 def leading_eigenvalue(A, T, N, sensitivity=False):
     """Eigenvalue of maximal real part at one resolution.
 
@@ -163,11 +170,9 @@ def leading_eigenvalue(A, T, N, sensitivity=False):
     each at the other parameter fixed, from the right eigenvector x of
     M = B^-1 L and the pencil's left eigenvector w, (L - lambda B)^H w = 0:
     dlambda = w^H (dL - lambda dB) x / (w^H B x).
-    This path stays on the full, unfolded pencil: a faster neutral search
-    would read as an ``op_tail_s`` regression on the benchmark's ``neutral``
-    workload for as long as that latency tail is taken over all operation
-    kinds together (11 or more searches per run make the tail a search).
+    This path stays on the full, unfolded pencil.
     """
+    _check_parameters(A, T)
     if not sensitivity:
         vals = _eig(A, T, N)
         return vals[int(np.argmax(vals.real))]
@@ -231,8 +236,7 @@ def os_spectrum(A, T, N, with_vectors=True):
     1e-6 relative; anything else is discarded as spurious.  Fewer than 10
     resolved eigenvalues raise :class:`ResolutionError`.
     """
-    if T <= 0.0:
-        raise DomainError("wavenumber T must be positive")
+    _check_parameters(A, T)
     N2 = (3 * N) // 2
     if with_vectors:
         base, vecs = _eig(A, T, N, with_vectors=True)
@@ -326,17 +330,20 @@ def neutral_search(
     Here a = -3A (the profile amplitude) and lambda is the leading
     eigenvalue; the root of G is the point where the growth rate maximized
     over T crosses zero.  Every evaluation is one dense spectrum returning
-    lambda with its analytic derivatives (:func:`leading_eigenvalue`).  At
-    each end of the -3A bracket a 9-point T scan must find an interior
-    maximum, which a 1-D Newton refines; the two maxima must change sign.
-    The 2-D Newton starts at their linear interpolation: the Jacobian's
-    first row is analytic, its second a forward difference of the analytic
-    dlambda/dT, and steps are clamped to the brackets.  It converges at an
-    iterate with |Re lambda| <= tol reached by a step |dT| <= T_tol.  The
-    N_check solve is the same Newton warm-started from the N solution;
-    the two (A1, T0) must agree to ``agreement_rtol`` or the search fails
-    with the best iterates attached.  The returned point carries the
-    finer-resolution values; ``trace`` holds one entry per evaluation.
+    lambda with its analytic derivatives (:func:`leading_eigenvalue`).
+    ``locate`` finds the crossing at one resolution: at each end of the -3A
+    bracket a 9-point T scan must find an interior maximum, which a 1-D
+    Newton refines; the two maxima must change sign.  A 2-D Newton starts
+    at their linear interpolation (Jacobian: first row analytic, second a
+    forward difference of dlambda/dT; steps clamped to the brackets) and
+    converges at |Re lambda| <= tol reached by a step |dT| <= T_tol.
+    ``locate`` runs at N_COARSE, where the leading mode is already
+    resolved; the same 2-D Newton then polishes at N and at N_check.  The
+    coarse grid only picks where the N stage starts: if N_COARSE >= N, or
+    either stage raises BracketError or NeutralToleranceError, ``locate``
+    runs at N.  The N and N_check points must agree to ``agreement_rtol``
+    or the search fails with the best iterates attached.  The returned
+    point carries the N_check values; ``trace`` has one entry per evaluation.
     """
     t_lo, t_hi = map(float, T_range)
     a_lo, a_hi = map(float, minus3A_range)
@@ -370,26 +377,33 @@ def neutral_search(
             best=best,
         )
 
-    ev = at(N)
-    ends = []
-    for a in (a_lo, a_hi):
-        Ts = np.linspace(t_lo, t_hi, 9)
-        vals = [ev(a, float(T)) for T in Ts]
-        i = int(np.argmax([v[0] for v in vals]))
-        if i in (0, len(Ts) - 1):
+    def locate(Nres):
+        ev = at(Nres)
+        ends = []
+        for a in (a_lo, a_hi):
+            Ts = np.linspace(t_lo, t_hi, 9)
+            vals = [ev(a, float(T)) for T in Ts]
+            i = int(np.argmax([v[0] for v in vals]))
+            if i in (0, len(Ts) - 1):
+                raise BracketError(
+                    f"growth rate not interior-maximized on T in [{t_lo}, {t_hi}] at -3A={a}"
+                )
+            ends.append(newton(ev, a, float(Ts[i]), vals[i], (a, a, Ts[i - 1], Ts[i + 1]), False))
+        (_, T_l, g_l), (_, T_h, g_h) = ends
+        if not (g_l < 0.0 < g_h):
             raise BracketError(
-                f"growth rate not interior-maximized on T in [{t_lo}, {t_hi}] at -3A={a}"
+                f"no neutral crossing bracketed on -3A in [{a_lo}, {a_hi}] "
+                f"(growth {g_l:.3e} .. {g_h:.3e})"
             )
-        ends.append(newton(ev, a, float(Ts[i]), vals[i], (a, a, Ts[i - 1], Ts[i + 1]), False))
-    (_, T_l, g_l), (_, T_h, g_h) = ends
-    if not (g_l < 0.0 < g_h):
-        raise BracketError(
-            f"no neutral crossing bracketed on -3A in [{a_lo}, {a_hi}] "
-            f"(growth {g_l:.3e} .. {g_h:.3e})"
-        )
-    s = g_l / (g_l - g_h)
+        s = g_l / (g_l - g_h)
+        return newton(ev, a_lo + s * (a_hi - a_lo), T_l + s * (T_h - T_l), None, box)
+
     box = (a_lo, a_hi, t_lo, t_hi)
-    a1_c, T0_c, _ = newton(ev, a_lo + s * (a_hi - a_lo), T_l + s * (T_h - T_l), None, box)
+    coarse = None
+    if N_COARSE < N:
+        with contextlib.suppress(BracketError, NeutralToleranceError):
+            coarse = newton(at(N), *locate(N_COARSE)[:2], None, box)
+    a1_c, T0_c, _ = coarse or locate(N)
     a1_f, T0_f, _ = newton(at(N_check), a1_c, T0_c, None, box)
     best = {"coarse": (a1_c, T0_c), "fine": (a1_f, T0_f)}
     if abs(a1_f - a1_c) > agreement_rtol * a1_f or abs(T0_f - T0_c) > agreement_rtol * T0_f:

@@ -100,6 +100,20 @@ class TestSpectrum:
         with pytest.raises(DomainError):
             os_spectrum(-1.0, 0.0, 120)
 
+    # both entry points share one check: finite A, finite T > 0
+    @pytest.mark.parametrize("A, T", [
+        (-1900.0, 0.0), (-1900.0, -1.0), (float("nan"), 1.0), (-1900.0, float("inf")),
+        (float("inf"), 1.0),
+    ])
+    @pytest.mark.parametrize("call", [
+        lambda A, T: leading_eigenvalue(A, T, 40),
+        lambda A, T: leading_eigenvalue(A, T, 40, sensitivity=True),
+        lambda A, T: os_spectrum(A, T, 40),
+    ], ids=["leading", "leading-sensitivity", "os_spectrum"])
+    def test_hostile_parameters_raise_domain_error(self, call, A, T):
+        with pytest.raises(DomainError):
+            call(A, T)
+
 
 class TestEnergyIdentity:
     def test_resolved_pairs(self):
@@ -308,10 +322,11 @@ class TestNeutralSearch:
         assert c == pytest.approx(CRIT_C, rel=1e-3)
 
     def test_trace_records_iterates(self, quick_point):
-        # one entry per evaluation; the last is the converged N_check iterate
+        # one entry per evaluation, at N_COARSE, N and N_check; the last is
+        # the converged N_check iterate
         for entry in quick_point.trace:
             assert set(entry) == {"A", "T", "re", "im", "N"}
-        assert {e["N"] for e in quick_point.trace} == {96, 144}
+        assert {e["N"] for e in quick_point.trace} == {64, 96, 144}
         last = quick_point.trace[-1]
         assert last["N"] == 144 and abs(last["re"]) <= 1e-4
         assert (last["A"], last["T"]) == (quick_point.A1, quick_point.T0)
@@ -340,6 +355,19 @@ class TestNeutralSearch:
     def test_no_bracket_raises(self):
         with pytest.raises(BracketError):
             neutral_search((0.9, 1.15), (100.0, 200.0), tol=1e-3, N=96, N_check=96)
+
+    def test_coarse_failure_falls_back_to_n(self, monkeypatch):
+        # N = 16 cannot locate the crossing; the search then runs at N itself
+        # and returns, bit for bit, the point of a search without a coarse stage
+        def search(n_coarse):
+            monkeypatch.setattr(spectrum, "N_COARSE", n_coarse)
+            return neutral_search((0.9, 1.15), (5600.0, 6000.0), tol=1e-3, N=96, N_check=144,
+                                  T_tol=1e-4, agreement_rtol=5e-3)
+
+        ref, npt = search(96), search(16)
+        assert (npt.A1, npt.T0, npt.lambda1) == (ref.A1, ref.T0, ref.lambda1)
+        n16 = [e["N"] for e in npt.trace].count(16)
+        assert n16 > 0 and npt.trace[n16:] == ref.trace  # the N = 96 scans follow
 
 
 class TestKernelWitness:

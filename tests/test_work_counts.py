@@ -1,14 +1,16 @@
 """Exact work counts of fixed inputs: inversions, mode-operator constructions,
-Picard maps, residuals and real FFTs.
+Picard maps, residuals, real FFTs and neutral-search eigenvalue evaluations.
 
 Counts do not depend on the machine.  A change that moves one edits its
 literal here and names the old and new value in CHANGES.md.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from cpflow import nonlinear
+from cpflow import nonlinear, spectrum
 from cpflow.channel import ForceField, LinearizedChannelSolver, random_field
 from cpflow.cli import main
 from cpflow.nonlinear import NonlinearChannelSolver, PicardConfig, random_force
@@ -122,3 +124,27 @@ class TestCliCommands:
             main([*argv, "--output", str(tmp_path / "out.json")])
         assert (exc.value.code or 0) == 0
         assert (calls["inv"], calls["OSModeOperator"]) == want
+
+
+class TestNeutralSearch:
+    # leading_eigenvalue calls by N: the T scans, end-point Newtons and 2-D
+    # Newton at N_COARSE = 64, then 3 Newton evaluations each at N and N_check
+    def test_acceptance_settings(self, neutral_full):
+        # the trace holds the sensitivity calls; the +1 final lambda1 is at npt.N
+        npt, _elapsed = neutral_full
+        assert Counter(e["N"] for e in npt.trace) == {64: 35, 200: 3, 300: 3}
+        assert npt.N == 300
+
+    def test_regression_settings(self, monkeypatch):
+        # verify.measure_baseline's search
+        calls = Counter()
+        inner = spectrum.leading_eigenvalue
+
+        def counting(A, T, N, sensitivity=False):
+            calls[N, sensitivity] += 1
+            return inner(A, T, N, sensitivity)
+
+        monkeypatch.setattr(spectrum, "leading_eigenvalue", counting)
+        spectrum.neutral_search((0.9, 1.15), (5600.0, 6000.0), tol=1e-3, N=96, N_check=144,
+                                T_tol=1e-4, agreement_rtol=5e-3)
+        assert calls == {(64, True): 29, (96, True): 3, (144, True): 3, (144, False): 1}
