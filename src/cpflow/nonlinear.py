@@ -329,11 +329,18 @@ def measure_c1(grid, K, xi0, n_pairs=12, seed=0):
     return float(worst)
 
 
+def _check_positive(**values):
+    if not all(math.isfinite(v) and v > 0.0 for v in values.values()):
+        raise DomainError(f"need positive, finite {' and '.join(values)}, got {values}")
+
+
 def contraction_ball_radius(kappa0, c1):
     """Ball radius (4 kappa0 c1)^-1 that pins the contraction factor at 1/2."""
+    _check_positive(kappa0=kappa0, c1=c1)
     return 1.0 / (4.0 * kappa0 * c1)
 
 
 def forcing_headroom(kappa0, delta):
     """Largest force norm delta / (4 kappa0) the self-map bound tolerates."""
+    _check_positive(kappa0=kappa0, delta=delta)
     return delta / (4.0 * kappa0)

@@ -39,6 +39,8 @@ class Profile:
     C: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.A, self.B, self.C))):
+            raise DomainError(f"profile coefficients must be finite, got {self}")
         if self.A == 0.0 and self.B == 0.0 and self.C == 0.0:
             raise DomainError("profile coefficients must not all vanish")
 

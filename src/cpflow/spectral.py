@@ -8,6 +8,7 @@ repeated multiplication with D1, which keeps roundoff in D4 under control
 up to N of a few hundred.  Quadrature is Clenshaw-Curtis on the same nodes.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -152,9 +153,9 @@ class SpectralGrid:
 
 
 def build_grid(N):
-    """Build the collocation grid of polynomial degree N (N >= 8)."""
-    if N < 8:
-        raise DomainError(f"grid degree must be at least 8, got {N}")
+    """Build the collocation grid of polynomial degree N (an integer N >= 8)."""
+    if not isinstance(N, numbers.Integral) or N < 8:
+        raise DomainError(f"grid degree must be an integer of at least 8, got {N!r}")
     nodes = chebyshev_nodes(N)
     D1 = chebyshev_diff(N)
     D2 = D1 @ D1

@@ -23,13 +23,17 @@ The profile is even in y, so the pencil splits into an even and an odd
 block under y -> -y, each solved on its own (Orszag 1971 solved the even
 block alone).  Eigenvalues are accepted only when two resolutions agree.
 
-The neutral point is the root of G(a, T) = (Re lambda, Re dlambda/dT)
-with a = -3A, found by Newton; each evaluation is one dense spectrum, and
-the derivatives of its leading eigenvalue come from the left and right
-eigenvectors (Schmid & Henningson 2001, Stability and Transition in
-Shear Flows).  The right eigenvector x comes with the dense spectrum; the
-left one w, (L - lambda B)^H w = 0, is found by two steps of inverse
-iteration from B x.
+The neutral point is the root of G(a, T) = (Re lambda, Re lambda_T) with
+a = -3A, found by Newton on the exact Jacobian Re[[lambda_a, lambda_T],
+[lambda_aT, lambda_TT]].  Each evaluation takes the leading eigenvalue of
+M = B^-1 L over both parity blocks and differentiates it on the winning
+block alone (Schmid & Henningson 2001, Stability and Transition in Shear
+Flows): with x its right eigenvector by inverse iteration, one bordered
+K = [M - lambda, s x; s x^H, 0], s = max|M - lambda| (Govaerts 2000), is
+solved for (M - lambda) x_s - lambda_s x = -B^-1 (L_s - lambda B_s) x,
+s in {a, T}, and again for lambda_aT and lambda_TT, whose right-hand sides
+add the x_a and x_T terms.  Bordering M, not the raw pencil L - lambda B,
+keeps K well conditioned at N = 300.
 """
 
 import contextlib
@@ -112,12 +116,6 @@ def _assemble(D2, P4, y, A, T):
     return L, B
 
 
-def _pencil(A, T, N):
-    """Matrices (L, B) of the eigen-pencil on the interior unknowns."""
-    y_int, D2i, P4i, *_ = _clamped_blocks(N)
-    return _assemble(D2i, P4i, y_int, A, T)
-
-
 def _eig(A, T, N, with_vectors=False):
     """Spectrum via the Dirichlet-inverse reduction, one block per y-parity.
 
@@ -142,20 +140,20 @@ def _eig(A, T, N, with_vectors=False):
     return np.concatenate(vals)
 
 
-def _left_null_vector(R, v):
-    """Unit w with R^H w ~ 0 by two steps of inverse iteration from v.
+def _null_vector(R):
+    """Unit x with R x ~ 0 by two steps of inverse iteration from the ones vector.
 
     An exactly singular R is shifted by one rounding unit of its scale.
     """
-    RH = R.conj().T
+    x = np.ones(len(R), dtype=complex)
     for _ in range(2):
         try:
-            v = np.linalg.solve(RH, v)
+            x = np.linalg.solve(R, x)
         except np.linalg.LinAlgError:
-            RH = RH + np.finfo(float).eps * np.abs(RH).max() * np.eye(len(v))
-            v = np.linalg.solve(RH, v)
-        v = v / np.linalg.norm(v)
-    return v
+            R = R + np.finfo(float).eps * np.abs(R).max() * np.eye(len(x))
+            x = np.linalg.solve(R, x)
+        x = x / np.linalg.norm(x)
+    return x
 
 
 def _check_parameters(A, T):
@@ -164,31 +162,50 @@ def _check_parameters(A, T):
 
 
 def leading_eigenvalue(A, T, N, sensitivity=False):
-    """Eigenvalue of maximal real part at one resolution.
+    """Eigenvalue of maximal real part at one resolution, over both parity blocks.
 
-    With ``sensitivity`` returns ``(lambda, dlambda/da, dlambda/dT)``, a = -3A,
-    each at the other parameter fixed, from the right eigenvector x of
-    M = B^-1 L and the pencil's left eigenvector w, (L - lambda B)^H w = 0:
-    dlambda = w^H (dL - lambda dB) x / (w^H B x).
-    This path stays on the full, unfolded pencil.
+    With ``sensitivity`` returns ``(lambda, lambda_a, lambda_T, lambda_aT,
+    lambda_TT)``, a = -3A, from the winning block (module docstring).
     """
     _check_parameters(A, T)
+    blocks = []
+    for _, D2, P4, y in _clamped_blocks(N)[3]:
+        L, B = _assemble(D2, P4, y, A, T)
+        M = np.linalg.solve(B, L)
+        vals = np.linalg.eigvals(M)
+        blocks.append((vals[int(np.argmax(vals.real))], M, B, D2, (1.0 - y**2)[:, None]))
+    lam, M, B, D2, Y = max(blocks, key=lambda b: b[0].real)  # the even block on a tie
     if not sensitivity:
-        vals = _eig(A, T, N)
-        return vals[int(np.argmax(vals.real))]
-    y_int, D2i, *_ = _clamped_blocks(N)
-    L, B = _pencil(A, T, N)
-    vals, right = np.linalg.eig(np.linalg.solve(B, L))
-    i = int(np.argmax(vals.real))
-    lam, x = vals[i], right[:, i]
-    Bx = B @ x
-    w = _left_null_vector(L - lam * B, Bx)
-    y2 = 1.0 - y_int**2
-    shear_x = y2 * Bx + 2.0 * x  # ((1 - y^2) B + 2) x
-    dT_x = (-4.0 * T * (D2i @ x) + 4.0 * T**3 * x + 3j * A * shear_x
-            - 6j * A * T**2 * y2 * x + 2.0 * T * lam * x)  # (dL/dT - lambda dB/dT) x
-    den = np.vdot(w, Bx)
-    return lam, np.vdot(w, -1j * T * shear_x) / den, np.vdot(w, dT_x) / den
+        return lam
+    n, a = len(M), -3.0 * A
+    R = M - lam * np.eye(n)
+    x = _null_vector(R)[:, None]
+    if np.linalg.norm(R @ x) > 1e-14 * np.linalg.norm(M, 1):
+        raise ResolutionError(f"no eigenvector of the leading eigenvalue at N={N}")
+    s = np.abs(R).max()
+    K = np.block([[R, s * x], [s * x.conj().T, np.zeros((1, 1))]])
+
+    def bordered(G):
+        """(x_s, lambda_s) for the right-hand sides -B^-1 G, one per column."""
+        z = np.linalg.solve(K, np.vstack([-np.linalg.solve(B, G), np.zeros((1, G.shape[1]))]))
+        return z[:n], -s * z[n]
+
+    def ops(V):
+        """B V, S = ((1 - y^2) B + 2) V, L_a V and L_T V; B_a = 0 and B_T = -2T."""
+        BV = D2 @ V - T**2 * V
+        S = Y * BV + 2.0 * V
+        return BV, S, -1j * T * S, -4.0 * T * BV - 1j * a * S + 2j * a * T**2 * Y * V
+
+    Bx, Sx, Lax, LTx = ops(x)
+    xs, (lam_a, lam_T) = bordered(np.hstack([Lax, LTx + 2.0 * T * lam * x]))
+    BV, _, LaV, LTV = ops(xs)  # columns x_a, x_T
+    PT = LTV - lam_T * BV + 2.0 * T * lam * xs  # (L_T - lambda_T B - lambda B_T) [x_a, x_T]
+    LaT_x = -1j * Sx + 2j * T**2 * Y * x
+    LTT_x = -4.0 * Bx + 8.0 * T**2 * x + 6j * a * T * Y * x
+    G_aT = LaT_x + 2.0 * T * lam_a * x + LaV[:, 1:] - lam_a * BV[:, 1:] + PT[:, :1]
+    G_TT = LTT_x + (4.0 * T * lam_T + 2.0 * lam) * x + 2.0 * PT[:, 1:]
+    _, (lam_aT, lam_TT) = bordered(np.hstack([G_aT, G_TT]))
+    return lam, lam_a, lam_T, lam_aT, lam_TT
 
 
 def lift_eigenfunction(vec, N):
@@ -325,18 +342,18 @@ def neutral_search(
     T_tol=2e-5,
     agreement_rtol=1e-3,
 ):
-    """Locate the neutral crossing by Newton on G(a, T) = (Re lambda, Re dlambda/dT).
+    """Locate the neutral crossing by Newton on G(a, T) = (Re lambda, Re lambda_T).
 
     Here a = -3A (the profile amplitude) and lambda is the leading
     eigenvalue; the root of G is the point where the growth rate maximized
-    over T crosses zero.  Every evaluation is one dense spectrum returning
-    lambda with its analytic derivatives (:func:`leading_eigenvalue`).
+    over T crosses zero.  Every evaluation is one folded spectrum returning
+    lambda with its first and second derivatives (:func:`leading_eigenvalue`).
     ``locate`` finds the crossing at one resolution: at each end of the -3A
     bracket a 9-point T scan must find an interior maximum, which a 1-D
-    Newton refines; the two maxima must change sign.  A 2-D Newton starts
-    at their linear interpolation (Jacobian: first row analytic, second a
-    forward difference of dlambda/dT; steps clamped to the brackets) and
-    converges at |Re lambda| <= tol reached by a step |dT| <= T_tol.
+    Newton on Re lambda_T refines; the two maxima must change sign.  A 2-D
+    Newton starts at their linear interpolation (exact Jacobian, steps
+    clamped to the brackets) and converges at |Re lambda| <= tol reached by
+    a step |dT| <= T_tol.
     ``locate`` runs at N_COARSE, where the leading mode is already
     resolved; the same 2-D Newton then polishes at N and at N_check.  The
     coarse grid only picks where the N stage starts: if N_COARSE >= N, or
@@ -347,14 +364,13 @@ def neutral_search(
     """
     t_lo, t_hi = map(float, T_range)
     a_lo, a_hi = map(float, minus3A_range)
-    h = 1e-3 * (t_hi - t_lo)  # forward-difference step for the T-derivative row
     trace = []
 
     def at(Nres):
         def ev(a, T):
-            lam, d_a, d_T = leading_eigenvalue(-a / 3.0, T, Nres, sensitivity=True)
+            lam, *derivatives = leading_eigenvalue(-a / 3.0, T, Nres, sensitivity=True)
             trace.append({"A": -a / 3.0, "T": T, "re": lam.real, "im": lam.imag, "N": Nres})
-            return lam.real, d_a.real, d_T.real
+            return (lam.real, *(d.real for d in derivatives))
 
         return ev
 
@@ -363,9 +379,8 @@ def neutral_search(
         g = ev(a, T) if g is None else g
         best, dT = (a, T, g[0]), math.inf
         for _ in range(MAX_NEWTON):
-            gh = ev(a, T + h)
-            J = np.array([[g[1], g[2]], [(gh[1] - g[1]) / h, (gh[2] - g[2]) / h]])
-            da, dT = np.linalg.solve(J, [-g[0], -g[2]]) if move_a else (0.0, -g[2] / J[1, 1])
+            J = np.array([[g[1], g[2]], [g[3], g[4]]])
+            da, dT = np.linalg.solve(J, [-g[0], -g[2]]) if move_a else (0.0, -g[2] / g[4])
             a = min(max(a + da, box[0]), box[1])
             T = min(max(T + dT, box[2]), box[3])
             g = ev(a, T)

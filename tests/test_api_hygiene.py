@@ -4,12 +4,21 @@ A name in a ``src/cpflow`` submodule's ``__all__`` must be referenced
 somewhere in ``src/``, ``demos/`` or ``perfbench/`` outside its own
 definition: as a name, an attribute or an imported name.  Code that only
 tests call belongs in the test modules.
+
+Values a library entry point cannot use raise a typed ``DomainError``
+there, not a raw Python error or a nan result.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
+
+from cpflow.errors import DomainError
+from cpflow.nonlinear import contraction_ball_radius, forcing_headroom
+from cpflow.profiles import Profile
+from cpflow.spectral import build_grid
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cpflow"
@@ -76,3 +85,18 @@ def test_every_exported_name_is_used_by_the_program():
 ])
 def test_reference_scan(source, skip, want):
     assert references(ast.parse(source), skip=skip) == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_grid(8.5),
+    lambda: Profile(math.nan, 0.0, 1.0),
+    lambda: Profile(-1.0, math.inf, 1.0),
+    lambda: contraction_ball_radius(0, 0),
+    lambda: contraction_ball_radius(-1, 1),
+    lambda: forcing_headroom(math.nan, 1),
+    lambda: forcing_headroom(1, -1),
+], ids=["grid-degree-8.5", "profile-nan", "profile-inf", "ball-zero", "ball-negative",
+        "headroom-nan", "headroom-negative-delta"])
+def test_hostile_library_calls_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

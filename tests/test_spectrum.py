@@ -23,6 +23,12 @@ CRIT_C = 0.26400
 ORSZAG_C = 0.23752649 + 0.00373967j
 
 
+def pencil(A, T, N):
+    """Matrices (L, B) of the unfolded eigen-pencil on the interior unknowns."""
+    y_int, D2i, P4i, *_ = spectrum._clamped_blocks(N)
+    return spectrum._assemble(D2i, P4i, y_int, A, T)
+
+
 def poiseuille_phase_speeds(reynolds, alpha, N):
     """Classical phase-speed spectrum of the parabolic profile, via QZ.
 
@@ -31,7 +37,7 @@ def poiseuille_phase_speeds(reynolds, alpha, N):
     in units of the profile maximum, and solved by the QZ algorithm
     instead of the Dirichlet-inverse reduction.
     """
-    L, B = spectrum._pencil(-reynolds / 3.0, alpha, N)
+    L, B = pencil(-reynolds / 3.0, alpha, N)
     return sla.eigvals(L, -1j * alpha * reynolds * B, check_finite=False)
 
 
@@ -160,11 +166,10 @@ class TestSensitivity:
     @pytest.mark.parametrize("N", [96, 200, 300])
     def test_derivatives_match_central_differences(self, N):
         # d lambda / da (a = -3A, T fixed) and d lambda / dT (A fixed) from
-        # the left/right eigenvectors, near the neutral point where the
-        # search uses them
+        # the bordered solve, near the neutral point where the search uses them
         a, T, ha, hT = 5772.22, 1.0205, 1e-2, 1e-5
-        lam, d_a, d_T = leading_eigenvalue(-a / 3.0, T, N, sensitivity=True)
-        assert abs(lam - leading_eigenvalue(-a / 3.0, T, N)) <= 1e-10 * abs(lam)
+        lam, d_a, d_T, _, _ = leading_eigenvalue(-a / 3.0, T, N, sensitivity=True)
+        assert lam == leading_eigenvalue(-a / 3.0, T, N)
         fd_a = (leading_eigenvalue(-(a + ha) / 3.0, T, N)
                 - leading_eigenvalue(-(a - ha) / 3.0, T, N)) / (2.0 * ha)
         fd_T = (leading_eigenvalue(-a / 3.0, T + hT, N)
@@ -173,26 +178,46 @@ class TestSensitivity:
         assert abs(d_T - fd_T) <= 1e-5 * abs(fd_T)
 
     @pytest.mark.parametrize("N", [96, 200])
+    def test_second_derivatives_match_central_differences(self, N):
+        # lambda_aT and lambda_TT against central differences in T of the
+        # analytic lambda_a and lambda_T; hT = 1e-3 keeps the quotient's own
+        # roundoff (about 4e-3 at N = 300 with hT = 1e-4) below its O(hT^2) error
+        a, T, hT = 5772.22, 1.0205, 1e-3
+        _, _, _, d_aT, d_TT = leading_eigenvalue(-a / 3.0, T, N, sensitivity=True)
+        up = leading_eigenvalue(-a / 3.0, T + hT, N, sensitivity=True)
+        down = leading_eigenvalue(-a / 3.0, T - hT, N, sensitivity=True)
+        assert abs(d_aT - (up[1] - down[1]) / (2.0 * hT)) <= 1e-5 * abs(d_aT)
+        assert abs(d_TT - (up[2] - down[2]) / (2.0 * hT)) <= 1e-5 * abs(d_TT)
+
+    def test_second_derivative_is_resolved(self):
+        # the leading mode is resolved far below N = 200, and so is lambda_TT
+        a, T = 5772.2218, 1.0205475
+        d200 = leading_eigenvalue(-a / 3.0, T, 200, sensitivity=True)[4]
+        d300 = leading_eigenvalue(-a / 3.0, T, 300, sensitivity=True)[4]
+        assert abs(d200 - d300) <= 1e-8 * abs(d300)
+
+    @pytest.mark.parametrize("N", [96, 200])
     def test_derivatives_match_left_right_eig(self, N):
-        # the left vector by inverse iteration against LAPACK's left eigenvectors
+        # lambda and its first derivatives (zip stops at the reference's three)
+        # against LAPACK's left and right eigenvectors
         for a, T in ((5772.22, 1.0205), (2000.0, 0.8), (8000.0, 1.2)):
             got = leading_eigenvalue(-a / 3.0, T, N, sensitivity=True)
             want = scipy_sensitivities(-a / 3.0, T, N)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-9 * abs(w)
 
-    def test_left_vector_of_an_exactly_singular_shift(self):
+    def test_right_vector_of_an_exactly_singular_shift(self):
         # lambda an eigenvalue to the last bit: R is shifted, not solved singular
         R = np.diag([1.0, 0.0, 3.0]).astype(complex)
-        w = spectrum._left_null_vector(R, np.ones(3, dtype=complex))
-        assert abs(abs(w[1]) - 1.0) <= 1e-12
-        assert np.abs(w[[0, 2]]).max() <= 1e-12
+        x = spectrum._null_vector(R)
+        assert abs(abs(x[1]) - 1.0) <= 1e-12
+        assert np.abs(x[[0, 2]]).max() <= 1e-12
 
 
 def scipy_sensitivities(A, T, N):
     """Reference (lambda, dlambda/da, dlambda/dT) from scipy's left/right eig of B^-1 L."""
     y_int, D2i, *_ = spectrum._clamped_blocks(N)
-    L, B = spectrum._pencil(A, T, N)
+    L, B = pencil(A, T, N)
     lu = sla.lu_factor(B)
     vals, left, right = sla.eig(sla.lu_solve(lu, L), left=True, right=True)
     i = int(np.argmax(vals.real))
@@ -208,14 +233,14 @@ def scipy_sensitivities(A, T, N):
 
 def dense_eig(A, T, N, with_vectors=False):
     """Reference spectrum: the full pencil, one dense solve and eigen-solve."""
-    L, B = spectrum._pencil(A, T, N)
+    L, B = pencil(A, T, N)
     M = sla.solve(B, L)
     return sla.eig(M) if with_vectors else sla.eigvals(M)
 
 
 def backward_errors(A, T, N, vals, vecs):
     """||L x - lambda B x|| / ((||L|| + |lambda| ||B||) ||x||) per eigenpair."""
-    L, B = spectrum._pencil(A, T, N)
+    L, B = pencil(A, T, N)
     res = np.linalg.norm(L @ vecs - (B @ vecs) * vals, axis=0)
     scale = np.linalg.norm(L, 2) + np.abs(vals) * np.linalg.norm(B, 2)
     return res / (scale * np.linalg.norm(vecs, axis=0))

@@ -1,5 +1,6 @@
 """Exact work counts of fixed inputs: inversions, mode-operator constructions,
-Picard maps, residuals, real FFTs and neutral-search eigenvalue evaluations.
+Picard maps, residuals, real FFTs, and neutral-search eigenvalue evaluations
+and eigen-solves.
 
 Counts do not depend on the machine.  A change that moves one edits its
 literal here and names the old and new value in CHANGES.md.
@@ -24,8 +25,18 @@ DELTA = 120.0  # below the delta of 122 that its measured kappa0 and c1 give
 FORCE = 9.0  # about half the forcing headroom delta / (4 kappa0) of 18.7
 
 
-def count_calls(monkeypatch):
-    """Install counting wrappers; returns {name: calls from now on}."""
+COUNTED = (
+    (np.linalg, "inv", "inv"),
+    (OSModeOperator, "__init__", "OSModeOperator"),
+    (NonlinearChannelSolver, "picard_map", "picard_map"),
+    (nonlinear, "nonlinear_residual", "nonlinear_residual"),
+    (np.fft, "rfft", "rfft"),
+    (np.fft, "irfft", "irfft"),
+)
+
+
+def count_calls(monkeypatch, targets=COUNTED):
+    """Install counting wrappers on (owner, attr, name) targets; returns {name: calls from now on}."""
     tally = {}
 
     def wrap(owner, attr, key):
@@ -38,12 +49,8 @@ def count_calls(monkeypatch):
 
         monkeypatch.setattr(owner, attr, counting)
 
-    wrap(np.linalg, "inv", "inv")
-    wrap(OSModeOperator, "__init__", "OSModeOperator")
-    wrap(NonlinearChannelSolver, "picard_map", "picard_map")
-    wrap(nonlinear, "nonlinear_residual", "nonlinear_residual")
-    wrap(np.fft, "rfft", "rfft")
-    wrap(np.fft, "irfft", "irfft")
+    for target in targets:
+        wrap(*target)
     return tally
 
 
@@ -128,15 +135,16 @@ class TestCliCommands:
 
 class TestNeutralSearch:
     # leading_eigenvalue calls by N: the T scans, end-point Newtons and 2-D
-    # Newton at N_COARSE = 64, then 3 Newton evaluations each at N and N_check
+    # Newton at N_COARSE = 64, then 2 Newton evaluations each at N and N_check
     def test_acceptance_settings(self, neutral_full):
         # the trace holds the sensitivity calls; the +1 final lambda1 is at npt.N
         npt, _elapsed = neutral_full
-        assert Counter(e["N"] for e in npt.trace) == {64: 35, 200: 3, 300: 3}
+        assert Counter(e["N"] for e in npt.trace) == {64: 27, 200: 2, 300: 2}
         assert npt.N == 300
 
     def test_regression_settings(self, monkeypatch):
-        # verify.measure_baseline's search
+        # verify.measure_baseline's search; every evaluation takes one
+        # eigvals per parity block and no eig
         calls = Counter()
         inner = spectrum.leading_eigenvalue
 
@@ -145,6 +153,8 @@ class TestNeutralSearch:
             return inner(A, T, N, sensitivity)
 
         monkeypatch.setattr(spectrum, "leading_eigenvalue", counting)
+        linalg = count_calls(monkeypatch, [(np.linalg, name, name) for name in ("eig", "eigvals")])
         spectrum.neutral_search((0.9, 1.15), (5600.0, 6000.0), tol=1e-3, N=96, N_check=144,
                                 T_tol=1e-4, agreement_rtol=5e-3)
-        assert calls == {(64, True): 29, (96, True): 3, (144, True): 3, (144, False): 1}
+        assert calls == {(64, True): 24, (96, True): 2, (144, True): 2, (144, False): 1}
+        assert linalg == {"eig": 0, "eigvals": 58}
